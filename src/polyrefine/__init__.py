@@ -20,18 +20,7 @@ from .mesh_core import (
     structured_quad_mesh,
     validate_mesh,
 )
-from .refinement import (
-    CentroidNotInteriorError,
-    RefinementPlan,
-    assemble_refined_mesh,
-    closure_marked_set,
-    compute_cut_edges,
-    extend_elements,
-    partition_marked,
-    plan_refinement,
-    refine,
-    subdivide_element,
-)
+from .refinement import CentroidNotInteriorError, closure_marked_set, compute_cut_edges, refine
 from .vem_poisson import (
     LinearSystem,
     SingularProjectionError,
@@ -66,19 +55,14 @@ __all__ = [
     "StepRecord",
     "TooDenseError",
     "ValidationReport",
-    "RefinementPlan",
     "adaptive_loop",
     "assemble",
-    "assemble_refined_mesh",
     "build_topology",
     "check_conformity",
     "closure_marked_set",
     "compute_cut_edges",
     "detect_hanging_nodes",
     "dorfler_mark",
-    "extend_elements",
-    "partition_marked",
-    "plan_refinement",
     "element_diameter",
     "estimate",
     "gaussian_peak_problem",
@@ -95,7 +79,6 @@ __all__ = [
     "solve_dirichlet",
     "solve_poisson",
     "structured_quad_mesh",
-    "subdivide_element",
     "total_indicator",
     "validate_mesh",
 ]

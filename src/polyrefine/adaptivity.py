@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_core import MeshTopology, _as_nodes, _cycle_arrays, build_topology
+from .mesh_core import MeshTopology, _as_nodes, _cycle_shifts, build_topology
 from .refinement import refine
 from .vem_poisson import assemble, solve_dirichlet
 
@@ -28,7 +28,9 @@ def estimate(nodes, elements, topology: MeshTopology, u, f) -> np.ndarray:
     nodes = _as_nodes(nodes)
     u = np.asarray(u, dtype=float)
     NT = len(elements)
-    lengths, offsets, conc, nxt = _cycle_arrays(elements)
+    offsets, conc = topology.offsets, topology.cycles
+    lengths = np.diff(offsets)
+    _, nxt = _cycle_shifts(offsets)
     red = offsets[:-1]
     p0 = nodes[conc]
     p1 = nodes[conc[nxt]]
@@ -149,6 +151,6 @@ def adaptive_loop(nodes, elements, f, g, theta: float = 0.4, max_steps: int = 30
             on_step(step, nodes, elements, u, eta, marked)
         if step >= max_steps or len(marked) == 0 or (dof_cap is not None and len(nodes) >= dof_cap):
             break
-        nodes, elements = refine(nodes, elements, marked)
+        nodes, elements = refine(nodes, elements, marked, topology=topology)
         step += 1
     return AdaptiveRun(records, nodes, elements, u)

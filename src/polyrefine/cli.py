@@ -22,7 +22,7 @@ from .mesh_core import (
     MeshError,
     build_topology,
     check_conformity,
-    detect_hanging_nodes,
+    hanging_flags,
     validate_mesh,
 )
 from .meshfile import (
@@ -112,7 +112,7 @@ def _cmd_quality(args) -> int:
     issues = check_conformity(nodes, elements, topology)
     for msg in issues:
         print(f"conformity: {msg}")
-    hanging = sum(int(detect_hanging_nodes(i, nodes, elements).sum()) for i in range(len(elements)))
+    hanging = int(hanging_flags(nodes, topology).sum())
     ratios = []
     for i, cycle in enumerate(elements):
         pts = nodes[np.asarray(cycle)]

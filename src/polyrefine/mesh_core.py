@@ -11,6 +11,7 @@ conforming polygonal complex even when hanging nodes are present.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -61,6 +62,13 @@ class MeshTopology:
     centroid : (NT, 2) float array
     diameter : (NT,) float array
         Maximum pairwise vertex distance per element.
+    offsets : (NT + 1,) int array
+        Element ``i`` occupies ``offsets[i]:offsets[i + 1]`` of the flat
+        cycle arrays below.
+    cycles : (M,) int array
+        All vertex cycles, concatenated.
+    cycle_edges : (M,) int array
+        The same local edges as ``elem2edge``, concatenated.
     """
 
     edge: np.ndarray
@@ -69,6 +77,9 @@ class MeshTopology:
     neighbor: list
     centroid: np.ndarray
     diameter: np.ndarray
+    offsets: np.ndarray
+    cycles: np.ndarray
+    cycle_edges: np.ndarray
 
     @property
     def num_edges(self) -> int:
@@ -112,13 +123,41 @@ def _as_nodes(nodes) -> np.ndarray:
 
 
 def _cycle_arrays(elements):
-    """Concatenated cycles plus the index arrays needed for cyclic shifts."""
-    lengths = np.array([len(c) for c in elements], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(lengths)])
-    conc = np.concatenate([np.asarray(c, dtype=np.int64) for c in elements])
-    nxt = np.arange(1, conc.size + 1)
+    """Cycle offsets, concatenated cycles and the flat position of each next vertex."""
+    offsets = np.zeros(len(elements) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, elements), dtype=np.int64, count=len(elements)), out=offsets[1:])
+    conc = np.fromiter(chain.from_iterable(elements), dtype=np.int64, count=int(offsets[-1]))
+    _, nxt = _cycle_shifts(offsets)
+    return offsets, conc, nxt
+
+
+def _cycle_shifts(offsets):
+    """Flat positions of the previous and the next vertex in each cycle."""
+    prv = np.arange(-1, offsets[-1] - 1)
+    prv[offsets[:-1]] = offsets[1:] - 1
+    nxt = np.arange(1, offsets[-1] + 1)
     nxt[offsets[1:] - 1] = offsets[:-1]
-    return lengths, offsets, conc, nxt
+    return prv, nxt
+
+
+def _cycle_owners(offsets):
+    """Element of each flat cycle position."""
+    return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
+
+
+def _cycle_lists(offsets, cycles) -> list:
+    """Flat cycle arrays back to a list of vertex lists (Python ints)."""
+    flat = cycles.tolist()
+    bounds = offsets.tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
+def _length_groups(offsets, cycles, idx):
+    """``(elements, (k, L) vertex indices)`` for the elements ``idx``, per cycle length ``L``."""
+    lengths = offsets[idx + 1] - offsets[idx]
+    for L in np.unique(lengths):
+        sel = idx[lengths == L]
+        yield sel, cycles[offsets[sel][:, None] + np.arange(L)]
 
 
 def polygon_area(vertices) -> float:
@@ -132,12 +171,6 @@ def polygon_area(vertices) -> float:
     if area < 1e-14 * d * d:
         raise DegeneratePolygonError(f"area {area:.3e} below degeneracy threshold")
     return float(area)
-
-
-def polygon_signed_area(vertices) -> float:
-    v = np.asarray(vertices, dtype=float)
-    w = np.roll(v, -1, axis=0)
-    return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
 
 def polygon_centroid(vertices) -> np.ndarray:
@@ -159,10 +192,8 @@ def element_diameter(vertices) -> float:
     return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
 
 
-def _polygon_tables(nodes, elements):
+def _polygon_tables(nodes, offsets, conc, nxt):
     """Vectorized signed areas, centroids and diameters of all elements."""
-    nodes = _as_nodes(nodes)
-    lengths, offsets, conc, nxt = _cycle_arrays(elements)
     p0 = nodes[conc]
     p1 = nodes[conc[nxt]]
     cr = p0[:, 0] * p1[:, 1] - p1[:, 0] * p0[:, 1]
@@ -171,10 +202,9 @@ def _polygon_tables(nodes, elements):
     sx = np.add.reduceat((p0[:, 0] + p1[:, 0]) * cr, red)
     sy = np.add.reduceat((p0[:, 1] + p1[:, 1]) * cr, red)
 
-    diam = np.empty(len(elements))
-    for L in np.unique(lengths):
-        idx = np.flatnonzero(lengths == L)
-        vm = nodes[np.stack([conc[offsets[i]:offsets[i] + L] for i in idx])]
+    diam = np.empty(len(offsets) - 1)
+    for idx, cyc in _length_groups(offsets, conc, np.arange(len(diam))):
+        vm = nodes[cyc]
         diff = vm[:, :, None, :] - vm[:, None, :, :]
         diam[idx] = np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(1, 2)))
 
@@ -187,7 +217,8 @@ def _polygon_tables(nodes, elements):
 
 def mesh_area(nodes, elements) -> float:
     """Total unsigned area of all elements."""
-    signed, _, _ = _polygon_tables(nodes, elements)
+    offsets, conc, nxt = _cycle_arrays(elements)
+    signed, _, _ = _polygon_tables(_as_nodes(nodes), offsets, conc, nxt)
     return float(np.sum(np.abs(signed)))
 
 
@@ -207,36 +238,40 @@ def build_topology(nodes, elements) -> MeshTopology:
     NT = len(elements)
     if NT == 0:
         raise ValueError("element table is empty")
-    lengths, offsets, conc, nxt = _cycle_arrays(elements)
+    offsets, conc, nxt = _cycle_arrays(elements)
     if conc.size == 0 or conc.min() < 0 or conc.max() >= len(nodes):
         raise InvalidIndexError("element vertex index out of range")
 
-    total = np.sort(np.column_stack([conc, conc[nxt]]), axis=1)
-    edge, first, inv = np.unique(total, axis=0, return_index=True, return_inverse=True)
-    inv = inv.ravel()
+    # edge (a, b) with a < b as the key a * N + b, which sorts lexicographically
+    N = len(nodes)
+    key = np.minimum(conc, conc[nxt]) * N + np.maximum(conc, conc[nxt])
+    ukey, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    edge = np.column_stack([ukey // N, ukey % N])
     counts = np.bincount(inv, minlength=len(edge))
     if (counts > 2).any():
         k = int(np.flatnonzero(counts > 2)[0])
         raise NonManifoldEdgeError(f"edge {tuple(edge[k])} shared by {int(counts[k])} elements")
 
-    owners = np.repeat(np.arange(NT, dtype=np.int64), lengths)
+    owners = _cycle_owners(offsets)
     last = np.empty(len(edge), dtype=np.int64)
     last[inv] = np.arange(inv.size)
     edge2elem = np.column_stack([owners[first], owners[last]])
 
-    elem2edge = [inv[offsets[i]:offsets[i + 1]] for i in range(NT)]
-    neighbor = []
-    for i in range(NT):
-        ia = edge2elem[elem2edge[i], 0].copy()
-        ib = edge2elem[elem2edge[i], 1]
-        swap = ia == i
-        ia[swap] = ib[swap]
-        neighbor.append(ia)
+    ia = edge2elem[inv, 0]
+    across = np.where(ia == owners, edge2elem[inv, 1], ia)
+    bounds = offsets.tolist()
+    elem2edge = [inv[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    neighbor = [across[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-    _, centroid, diameter = _polygon_tables(nodes, elements)
+    _, centroid, diameter = _polygon_tables(nodes, offsets, conc, nxt)
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
-    return MeshTopology(edge, elem2edge, edge2elem, neighbor, centroid, diameter)
+    return MeshTopology(edge, elem2edge, edge2elem, neighbor, centroid, diameter,
+                        offsets, conc, inv)
+
+
+def _midpoint_error(v, prev, nxt) -> np.ndarray:
+    return np.linalg.norm(v - 0.5 * (prev + nxt), axis=1)
 
 
 def hanging_mask(vertices, tol: float | None = None) -> np.ndarray:
@@ -244,8 +279,19 @@ def hanging_mask(vertices, tol: float | None = None) -> np.ndarray:
     v = np.asarray(vertices, dtype=float)
     if tol is None:
         tol = HANGING_TOL_REL * element_diameter(v)
-    err = np.linalg.norm(v - 0.5 * (np.roll(v, 1, axis=0) + np.roll(v, -1, axis=0)), axis=1)
-    return err < tol
+    return _midpoint_error(v, np.roll(v, 1, axis=0), np.roll(v, -1, axis=0)) < tol
+
+
+def hanging_flags(nodes, topology: MeshTopology, tol: float | None = None) -> np.ndarray:
+    """``hanging_mask`` of every element at once, aligned with ``topology.cycles``.
+
+    ``tol`` defaults to ``1e-10`` times each element's diameter.
+    """
+    v = _as_nodes(nodes)[topology.cycles]
+    prv, nxt = _cycle_shifts(topology.offsets)
+    if tol is None:
+        tol = np.repeat(HANGING_TOL_REL * topology.diameter, np.diff(topology.offsets))
+    return _midpoint_error(v, v[prv], v[nxt]) < tol
 
 
 def detect_hanging_nodes(element_index: int, nodes, elements, tol: float | None = None) -> np.ndarray:
@@ -257,27 +303,6 @@ def detect_hanging_nodes(element_index: int, nodes, elements, tol: float | None 
     """
     nodes = _as_nodes(nodes)
     return hanging_mask(nodes[np.asarray(elements[element_index], dtype=np.int64)], tol)
-
-
-def point_strictly_inside(point, vertices, tol: float | None = None) -> bool:
-    """Crossing-number test requiring clearance ``tol`` from the boundary."""
-    v = np.asarray(vertices, dtype=float)
-    p = np.asarray(point, dtype=float)
-    if tol is None:
-        tol = 1e-12 * element_diameter(v)
-    a = v
-    b = np.roll(v, -1, axis=0)
-    ab = b - a
-    ap = p - a
-    L2 = np.sum(ab * ab, axis=1)
-    t = np.clip(np.sum(ap * ab, axis=1) / np.where(L2 > 0, L2, 1.0), 0.0, 1.0)
-    closest = a + t[:, None] * ab
-    if np.min(np.linalg.norm(closest - p, axis=1)) <= tol:
-        return False
-    cond = (a[:, 1] > p[1]) != (b[:, 1] > p[1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = a[:, 0] + (p[1] - a[:, 1]) * ab[:, 0] / ab[:, 1]
-    return bool(np.count_nonzero(cond & (p[0] < xi)) % 2 == 1)
 
 
 _PAIR_CACHE: dict = {}
@@ -473,46 +498,78 @@ def check_conformity(nodes, elements, topology: MeshTopology | None = None) -> l
     an unmatched (topologically boundary) element side.
     """
     nodes = _as_nodes(nodes)
-    out = []
-    for i, cyc in enumerate(elements):
-        idx = np.asarray(cyc, dtype=np.int64)
-        v = nodes[idx]
-        d = element_diameter(v)
-        prev = np.roll(v, 1, axis=0)
-        nxt = np.roll(v, -1, axis=0)
-        chord = nxt - prev
-        clen = np.linalg.norm(chord, axis=1)
-        off = np.abs(chord[:, 0] * (v[:, 1] - prev[:, 1]) - chord[:, 1] * (v[:, 0] - prev[:, 0]))
-        flat = (off < 1e-8 * d * np.where(clen > 0, clen, 1.0)) & \
-               (np.sum((v - prev) * chord, axis=1) > 0) & \
-               (np.sum((v - nxt) * -chord, axis=1) > 0)
-        if np.any(flat & np.roll(flat, -1)):
-            out.append(f"element {i}: two hanging nodes on one straight segment")
-        mids = 0.5 * (prev + nxt)
-        drift = np.linalg.norm(v - mids, axis=1)
-        for j in np.flatnonzero(flat & ~np.roll(flat, 1) & ~np.roll(flat, -1)):
-            if drift[j] > HANGING_TOL_REL * d:
-                out.append(f"element {i}: hanging node {int(idx[j])} off the parent-edge midpoint")
-
     topo = topology if topology is not None else build_topology(nodes, elements)
-    bmask = topo.boundary_edge_mask()
-    if bmask.any():
-        be = topo.edge[bmask]
-        a = nodes[be[:, 0]]
-        b = nodes[be[:, 1]]
-        ab = b - a
-        L2 = np.sum(ab * ab, axis=1)
-        # parameter of every node along every unmatched side, clipped off the endpoints
-        t = ((nodes[None, :, :] - a[:, None, :]) * ab[:, None, :]).sum(-1) / L2[:, None]
-        proj = a[:, None, :] + t[..., None] * ab[:, None, :]
-        dist = np.linalg.norm(nodes[None, :, :] - proj, axis=-1)
-        margin = 1e-9
-        hit = (t > margin) & (t < 1.0 - margin) & (dist < 1e-9 * np.sqrt(L2)[:, None])
-        for k, j in zip(*np.nonzero(hit)):
-            out.append(
-                f"node {int(j)} lies inside unmatched side {tuple(int(x) for x in be[k])}"
-            )
+    idx = topo.cycles
+    owner = _cycle_owners(topo.offsets)
+    d = topo.diameter[owner]
+    prv, nxt = _cycle_shifts(topo.offsets)
+    v = nodes[idx]
+    prev = v[prv]
+    nxtv = v[nxt]
+    chord = nxtv - prev
+    clen = np.linalg.norm(chord, axis=1)
+    off = np.abs(chord[:, 0] * (v[:, 1] - prev[:, 1]) - chord[:, 1] * (v[:, 0] - prev[:, 0]))
+    flat = (off < 1e-8 * d * np.where(clen > 0, clen, 1.0)) & \
+           (np.sum((v - prev) * chord, axis=1) > 0) & \
+           (np.sum((v - nxtv) * -chord, axis=1) > 0)
+    drift = _midpoint_error(v, prev, nxtv)
+    double = flat & flat[nxt]
+    off_mid = flat & ~flat[prv] & ~flat[nxt] & (drift > HANGING_TOL_REL * d)
+    # per element: the double-hang report first, then off-midpoint nodes in cycle order
+    found = [(int(i), -1) for i in np.unique(owner[double])]
+    found += [(int(owner[p]), int(p)) for p in np.flatnonzero(off_mid)]
+    out = [
+        f"element {i}: two hanging nodes on one straight segment" if p < 0
+        else f"element {i}: hanging node {int(idx[p])} off the parent-edge midpoint"
+        for i, p in sorted(found)
+    ]
+
+    be = topo.edge[topo.boundary_edge_mask()]
+    for k, j in _nodes_inside_sides(nodes, nodes[be[:, 0]], nodes[be[:, 1]]):
+        out.append(f"node {int(j)} lies inside unmatched side {tuple(int(x) for x in be[k])}")
     return out
+
+
+def _nodes_inside_sides(nodes, a, b):
+    """``(side, node)`` pairs, sorted, with the node strictly inside side ``a[k]b[k]``.
+
+    Candidates are the nodes in a padded strip around each side's bounding
+    box along whichever axis holds fewer nodes, so memory stays linear in
+    the number of nodes plus candidates.
+    """
+    ab = b - a
+    L2 = np.sum(ab * ab, axis=1)
+    pad = 2e-9 * np.sqrt(L2) + 4.0 * EPS * np.maximum(np.abs(a), np.abs(b)).max(axis=1)
+    lo = np.minimum(a, b) - pad[:, None]
+    hi = np.maximum(a, b) + pad[:, None]
+    ranges = []
+    for axis in (0, 1):
+        order = np.argsort(nodes[:, axis], kind="stable")
+        keys = nodes[order, axis]
+        start = np.searchsorted(keys, lo[:, axis], side="left")
+        stop = np.searchsorted(keys, hi[:, axis], side="right")
+        ranges.append((order, start, stop - start))
+    use_y = ranges[1][2] < ranges[0][2]
+    sides, cands = [], []
+    for axis, sel in ((0, ~use_y), (1, use_y)):
+        order, start, count = ranges[axis]
+        k = np.flatnonzero(sel)
+        count = count[k]
+        side = np.repeat(k, count)
+        first = np.repeat(start[k] - (np.cumsum(count) - count), count)
+        sides.append(side)
+        cands.append(order[first + np.arange(len(side))])
+    k = np.concatenate(sides)
+    j = np.concatenate(cands)
+    # parameter of each candidate node along its side, clipped off the endpoints
+    t = ((nodes[j] - a[k]) * ab[k]).sum(-1) / L2[k]
+    proj = a[k] + t[:, None] * ab[k]
+    dist = np.linalg.norm(nodes[j] - proj, axis=-1)
+    margin = 1e-9
+    hit = (t > margin) & (t < 1.0 - margin) & (dist < 1e-9 * np.sqrt(L2[k]))
+    k, j = k[hit], j[hit]
+    keep = np.lexsort((j, k))
+    return zip(k[keep], j[keep])
 
 
 def structured_quad_mesh(nx: int, ny: int | None = None, origin=(0.0, 0.0), extent=(1.0, 1.0)):

@@ -9,12 +9,15 @@ first closed: any neighbour that already has a hanging node on an edge of
 the refinement set is refined as well.  Unrefined neighbours of refined
 elements are extended with the new edge midpoints so the vertex cycles stay
 a conforming complex.
+
+All stages work on the flat cycle arrays of ``MeshTopology`` (offsets plus
+concatenated vertex and edge indices); element lists are built only for
+the returned mesh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -23,64 +26,18 @@ from .mesh_core import (
     MeshError,
     MeshTopology,
     _as_nodes,
+    _cycle_lists,
+    _cycle_owners,
+    _cycle_shifts,
+    _inside_flags,
+    _length_groups,
     build_topology,
-    hanging_mask,
-    point_strictly_inside,
+    hanging_flags,
 )
-
-VERTEX, EDGE_MID, CENTROID = 0, 1, 2
 
 
 class CentroidNotInteriorError(MeshError):
     """An element cannot be subdivided because its centroid is not interior."""
-
-
-class Conn(NamedTuple):
-    """Staging index over vertices, edge midpoints and element centroids.
-
-    Tuple ordering equals the flat encoding order (vertices, then edge
-    midpoints, then centroids), so sorting ``Conn`` values is the same as
-    sorting their encoded integers.
-    """
-
-    kind: int
-    idx: int
-
-    def encode(self, num_nodes: int, num_edges: int) -> int:
-        if self.kind == VERTEX:
-            return self.idx
-        if self.kind == EDGE_MID:
-            return num_nodes + self.idx
-        return num_nodes + num_edges + self.idx
-
-
-def vertex(i: int) -> Conn:
-    return Conn(VERTEX, int(i))
-
-
-def edge_mid(k: int) -> Conn:
-    return Conn(EDGE_MID, int(k))
-
-
-def centroid_of(t: int) -> Conn:
-    return Conn(CENTROID, int(t))
-
-
-@dataclass
-class RefinementPlan:
-    """All staging computed for one refinement pass.
-
-    ``staged`` maps each element of the refinement set to its subcell
-    cycles (in ``Conn`` indices, already extended with cut-edge midpoints)
-    and ``neighbor_cycles`` holds the extended cycles of unrefined
-    neighbours.
-    """
-
-    marked: list
-    additional: list
-    cut_edges: np.ndarray
-    staged: dict
-    neighbor_cycles: dict
 
 
 def _canonical_marked(marked, num_elements: int) -> list:
@@ -90,13 +47,10 @@ def _canonical_marked(marked, num_elements: int) -> list:
     return out
 
 
-def _elem_hanging(nodes, elements, iel: int, tol) -> np.ndarray:
-    return hanging_mask(nodes[np.asarray(elements[iel], dtype=np.int64)], tol)
-
-
-def _nontrivial_local_edges(mask: np.ndarray) -> np.ndarray:
+def _nontrivial_edges(hang: np.ndarray, topology: MeshTopology) -> np.ndarray:
     """Flags for local edges with at least one hanging endpoint."""
-    return mask | np.roll(mask, -1)
+    _, nxt = _cycle_shifts(topology.offsets)
+    return hang | hang[nxt]
 
 
 def closure_marked_set(nodes, elements, topology: MeshTopology, marked, tol: float | None = None) -> set:
@@ -109,193 +63,127 @@ def closure_marked_set(nodes, elements, topology: MeshTopology, marked, tol: flo
     """
     nodes = _as_nodes(nodes)
     marked = _canonical_marked(marked, len(elements))
+    owner = _cycle_owners(topology.offsets)
+    nontrivial = _nontrivial_edges(hanging_flags(nodes, topology, tol), topology)
+    cand_owner = owner[nontrivial]
+    cand_edge = topology.cycle_edges[nontrivial]
+
     in_set = np.zeros(len(elements), dtype=bool)
     in_set[marked] = True
     edge_in_set = np.zeros(topology.num_edges, dtype=bool)
-    for i in marked:
-        edge_in_set[topology.elem2edge[i]] = True
-
-    new = list(marked)
-    while new:
-        candidates = sorted({int(j) for i in new for j in topology.neighbor[i] if not in_set[j]})
-        added = []
-        for j in candidates:
-            mask = _elem_hanging(nodes, elements, j, tol)
-            if not mask.any():
-                continue
-            e2e = topology.elem2edge[j]
-            nontrivial = e2e[_nontrivial_local_edges(mask)]
-            if edge_in_set[nontrivial].any():
-                added.append(j)
-        for j in added:
-            in_set[j] = True
-            edge_in_set[topology.elem2edge[j]] = True
-        new = added
-    return set(np.flatnonzero(in_set)) - set(marked)
-
-
-def subdivide_element(element_index: int, nodes, elements, topology: MeshTopology,
-                      tol: float | None = None):
-    """Subcells of one element, expressed in ``Conn`` indices.
-
-    Returns ``(subcells, edge_rows)``.  Each subcell is
-    ``[mid-or-hanging of previous edge, vertex, mid-or-hanging of next edge,
-    centroid]``; for a nontrivial edge the hanging vertex stands in for the
-    midpoint.  ``edge_rows`` records, per subcell side, the parent edge
-    index when that side spans an entire nontrivial edge (``None``
-    elsewhere) so the extension stage can later insert midpoints cut by
-    other refined elements.
-    """
-    nodes = _as_nodes(nodes)
-    cyc = np.asarray(elements[element_index], dtype=np.int64)
-    n = len(cyc)
-    verts = nodes[cyc]
-    if not point_strictly_inside(topology.centroid[element_index], verts):
-        raise CentroidNotInteriorError(f"element {element_index}: centroid not interior")
-    mask = hanging_mask(verts, tol)
-    edges = topology.elem2edge[element_index]
-
-    mids = [edge_mid(edges[j]) for j in range(n)]
-    for j in np.flatnonzero(mask):
-        mids[(j - 1) % n] = vertex(cyc[j])
-    for j in np.flatnonzero(mask):
-        mids[j] = vertex(cyc[j])
-
-    nontrivial = _nontrivial_local_edges(mask)
-    rows_src = [int(edges[j]) if nontrivial[j] else None for j in range(n)]
-
-    cen = centroid_of(element_index)
-    subcells, edge_rows = [], []
-    for j in range(n):
-        if mask[j]:
-            continue
-        subcells.append([mids[(j - 1) % n], vertex(cyc[j]), mids[j], cen])
-        edge_rows.append([rows_src[(j - 1) % n], rows_src[j], None, None])
-    return subcells, edge_rows
+    new = in_set.copy()
+    while new.any():
+        edge_in_set[topology.cycle_edges[new[owner]]] = True
+        new[:] = False
+        new[cand_owner[edge_in_set[cand_edge] & ~in_set[cand_owner]]] = True
+        in_set |= new
+    return {int(i) for i in np.flatnonzero(in_set)} - set(marked)
 
 
 def compute_cut_edges(nodes, elements, topology: MeshTopology, refinement_set: Iterable,
                       tol: float | None = None) -> np.ndarray:
     """Trivial edges of the refinement set, i.e. the edges that get midpoints."""
     nodes = _as_nodes(nodes)
+    in_set = np.zeros(len(elements), dtype=bool)
+    in_set[np.fromiter(refinement_set, dtype=np.int64)] = True
+    nontrivial = _nontrivial_edges(hanging_flags(nodes, topology, tol), topology)
     cut = np.zeros(topology.num_edges, dtype=bool)
-    for iel in sorted({int(i) for i in refinement_set}):
-        mask = _elem_hanging(nodes, elements, iel, tol)
-        cut[topology.elem2edge[iel][~_nontrivial_local_edges(mask)]] = True
+    cut[topology.cycle_edges[in_set[_cycle_owners(topology.offsets)] & ~nontrivial]] = True
     return np.flatnonzero(cut)
 
 
-def _extend_cycle(cycle, edge_row, cut_set: set):
-    out = []
-    for conn, e in zip(cycle, edge_row):
-        out.append(conn)
-        if e is not None and e in cut_set:
-            out.append(edge_mid(e))
-    return out
+def _check_centroids_interior(nodes, topology: MeshTopology, refset: np.ndarray) -> None:
+    bad = []
+    for idx, cyc in _length_groups(topology.offsets, topology.cycles, refset):
+        inside = _inside_flags(nodes[cyc], topology.diameter[idx], topology.centroid[idx])
+        bad.extend(idx[~inside][:1])
+    if bad:
+        raise CentroidNotInteriorError(f"element {int(min(bad))}: centroid not interior")
 
 
-def extend_elements(nodes, elements, topology: MeshTopology, refinement_set: Iterable,
-                    cut_edges, staged):
-    """Insert cut-edge midpoints into neighbours and staged subcells.
-
-    ``staged`` is a sequence of ``(cycle, edge_row)`` pairs.  Returns
-    ``(neighbor_cycles, staged_cycles)`` where ``neighbor_cycles`` maps each
-    unrefined neighbour of the refinement set to its extended cycle and
-    ``staged_cycles`` are the (possibly extended) staged subcell cycles in
-    input order.  Subcells whose rows carry no cut edge pass through
-    unchanged.
-    """
-    refset = {int(i) for i in refinement_set}
-    cut_set = {int(k) for k in np.asarray(cut_edges).ravel()}
-    neighbors = sorted({int(j) for i in sorted(refset) for j in topology.neighbor[i]} - refset)
-    neighbor_cycles = {}
-    for j in neighbors:
-        cycle = [vertex(v) for v in elements[j]]
-        neighbor_cycles[j] = _extend_cycle(cycle, [int(e) for e in topology.elem2edge[j]], cut_set)
-    staged_cycles = [_extend_cycle(cycle, row, cut_set) for cycle, row in staged]
-    return neighbor_cycles, staged_cycles
-
-
-def partition_marked(nodes, elements, topology: MeshTopology, marked, tol: float | None = None) -> dict:
-    """Subdivide each marked element; returns ``{index: (subcells, edge_rows)}``."""
-    return {i: subdivide_element(i, nodes, elements, topology, tol)
-            for i in _canonical_marked(marked, len(elements))}
-
-
-def plan_refinement(nodes, elements, topology: MeshTopology, marked,
-                    tol: float | None = None) -> RefinementPlan:
-    """Stage a full refinement pass without touching the input mesh."""
-    nodes = _as_nodes(nodes)
-    marked = _canonical_marked(marked, len(elements))
-    additional = sorted(closure_marked_set(nodes, elements, topology, marked, tol))
-    refset = sorted(set(marked) | set(additional))
-
-    staged_raw = {i: subdivide_element(i, nodes, elements, topology, tol) for i in refset}
-    cut = compute_cut_edges(nodes, elements, topology, refset, tol)
-
-    flat, owners = [], []
-    for i in refset:
-        cells, rows = staged_raw[i]
-        flat.extend(zip(cells, rows))
-        owners.extend([i] * len(cells))
-    neighbor_cycles, extended = extend_elements(nodes, elements, topology, refset, cut, flat)
-
-    staged = {i: [] for i in refset}
-    for i, cycle in zip(owners, extended):
-        staged[i].append(cycle)
-    return RefinementPlan(marked, additional, cut, staged, neighbor_cycles)
-
-
-def assemble_refined_mesh(nodes, elements, topology: MeshTopology, plan: RefinementPlan):
-    """Materialize a staged refinement into a new ``(nodes, elements)`` pair.
-
-    Each refined element's slot receives its first subcell; the remaining
-    subcells are appended (additional elements first, then marked ones).
-    Connection indices are decoded by appending cut-edge midpoints and
-    refinement-set centroids to the node table, then compacted in encoding
-    order.
-    """
-    nodes = _as_nodes(nodes)
-    table = []
-    for i in range(len(elements)):
-        if i in plan.staged:
-            table.append(plan.staged[i][0])
-        elif i in plan.neighbor_cycles:
-            table.append(plan.neighbor_cycles[i])
-        else:
-            table.append([vertex(v) for v in elements[i]])
-    for i in plan.additional:
-        table.extend(plan.staged[i][1:])
-    for i in plan.marked:
-        table.extend(plan.staged[i][1:])
-
-    used = sorted({conn for cycle in table for conn in cycle})
-    index = {conn: t for t, conn in enumerate(used)}
-    coords = np.empty((len(used), 2))
-    for t, conn in enumerate(used):
-        if conn.kind == VERTEX:
-            coords[t] = nodes[conn.idx]
-        elif conn.kind == EDGE_MID:
-            a, b = topology.edge[conn.idx]
-            coords[t] = 0.5 * (nodes[a] + nodes[b])
-        else:
-            coords[t] = topology.centroid[conn.idx]
-    new_elements = [[index[conn] for conn in cycle] for cycle in table]
-    return coords, new_elements
-
-
-def refine(nodes, elements, marked, tol: float | None = None):
+def refine(nodes, elements, marked, tol: float | None = None,
+           topology: MeshTopology | None = None):
     """Refine ``marked`` elements (plus closure) and return the new mesh.
 
     The output cycles again list every boundary node of every element, each
     straight segment carries at most one hanging node, and total area is
-    preserved.  An empty marked set returns the input unchanged.
+    preserved.  An empty marked set returns the input unchanged.  Pass the
+    mesh's ``topology`` if it is already built.
+
+    Numbering of the returned mesh:
+
+    * nodes: the input nodes (same indices), then the midpoints
+      ``0.5 * (nodes[a] + nodes[b])`` of the cut edges in edge-index order,
+      then the centroids of the refinement set in element order;
+    * elements: slot ``i`` holds the first subcell of refined element ``i``
+      or the (extended) cycle of unrefined element ``i``; the remaining
+      subcells follow, those of closure-added elements first, then those of
+      marked elements, each in element order.  The subcell of vertex ``v``
+      is ``[prev edge midpoint or hanging vertex, v, next edge midpoint or
+      hanging vertex, centroid]``, with the midpoint of a nontrivial edge
+      cut from the other side inserted next to ``v``.
     """
     nodes = _as_nodes(nodes)
-    elements = [list(map(int, c)) for c in elements]
     marked = _canonical_marked(marked, len(elements))
     if not marked:
-        return nodes.copy(), elements
-    topology = build_topology(nodes, elements)
-    plan = plan_refinement(nodes, elements, topology, marked, tol)
-    return assemble_refined_mesh(nodes, elements, topology, plan)
+        return nodes.copy(), [list(map(int, c)) for c in elements]
+    if topology is None:
+        topology = build_topology(nodes, elements)
+    additional = sorted(closure_marked_set(nodes, elements, topology, marked, tol))
+    NT, N = len(elements), len(nodes)
+    status = np.zeros(NT, dtype=np.int8)  # 0 unrefined, 1 closure-added, 2 marked
+    status[additional] = 1
+    status[marked] = 2
+    refset = np.flatnonzero(status)
+    _check_centroids_interior(nodes, topology, refset)
+    cut = compute_cut_edges(nodes, elements, topology, refset, tol)
+
+    mid_id = np.full(topology.num_edges, -1, dtype=np.int64)
+    mid_id[cut] = N + np.arange(len(cut))
+    cen_id = np.full(NT, -1, dtype=np.int64)
+    cen_id[refset] = N + len(cut) + np.arange(len(refset))
+    a, b = topology.edge[cut].T
+    new_nodes = np.concatenate([nodes, 0.5 * (nodes[a] + nodes[b]), topology.centroid[refset]])
+
+    cyc = topology.cycles
+    owner = _cycle_owners(topology.offsets)
+    prv, nxt = _cycle_shifts(topology.offsets)
+    hang = hanging_flags(nodes, topology, tol)
+    nontrivial = hang | hang[nxt]
+    refined = status[owner] > 0
+    mid = mid_id[topology.cycle_edges]
+    # midpoint inserted after the vertex at the start of each local edge (-1: none)
+    ext = np.where(refined & ~nontrivial, -1, mid)
+    # far corner of a subcell on each local edge: its midpoint, or the hanging vertex
+    corner = np.where(nontrivial, np.where(hang, cyc, cyc[nxt]), mid)
+
+    # one output cell per unrefined element (its cycle, extended) and per
+    # subcell of a refined element; -1 tokens mark absent midpoints
+    u = np.flatnonzero(~refined)
+    s = np.flatnonzero(refined & ~hang)
+    tokens = np.concatenate([
+        np.column_stack([cyc[u], ext[u]]).ravel(),
+        np.column_stack([corner[prv[s]], ext[prv[s]], cyc[s], ext[s], corner[s],
+                         cen_id[owner[s]]]).ravel(),
+    ])
+    unrefined = np.flatnonzero(status == 0)
+    s_owner = owner[s]
+    s_cell = len(unrefined) + np.arange(len(s))
+    cell = np.concatenate([np.repeat(np.searchsorted(unrefined, owner[u]), 2), np.repeat(s_cell, 6)])
+    keep = tokens >= 0
+
+    # output order of the cells: slots, then closure-added, then marked extras
+    first = np.ones(len(s), dtype=bool)
+    first[1:] = s_owner[1:] != s_owner[:-1]
+    slot = np.empty(NT, dtype=np.int64)
+    slot[unrefined] = np.arange(len(unrefined))
+    slot[s_owner[first]] = s_cell[first]
+    order = np.concatenate([slot, s_cell[~first & (status[s_owner] == 1)],
+                            s_cell[~first & (status[s_owner] == 2)]])
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    out_rank = rank[cell[keep]]
+    out = tokens[keep][np.argsort(out_rank, kind="stable")]
+    offsets = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(out_rank, minlength=len(order)), out=offsets[1:])
+    return new_nodes, _cycle_lists(offsets, out)

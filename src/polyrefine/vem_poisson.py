@@ -20,6 +20,7 @@ from .mesh_core import (
     MeshError,
     MeshTopology,
     _as_nodes,
+    _length_groups,
     polygon_area,
     polygon_centroid,
 )
@@ -139,12 +140,10 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
     """
     nodes = _as_nodes(nodes)
     N = len(nodes)
-    lengths = np.array([len(c) for c in elements])
     rows, cols, vals = [], [], []
     b = np.zeros(N)
-    for n in np.unique(lengths):
-        idx = np.flatnonzero(lengths == n)
-        cyc = np.array([elements[i] for i in idx], dtype=np.int64)
+    for _, cyc in _length_groups(topology.offsets, topology.cycles, np.arange(len(elements))):
+        n = cyc.shape[1]
         K, area, cen = _batched_stiffness(nodes[cyc])
         rows.append(np.broadcast_to(cyc[:, :, None], K.shape).ravel())
         cols.append(np.broadcast_to(cyc[:, None, :], K.shape).ravel())

@@ -17,6 +17,7 @@ from polyrefine import (
     mesh_area,
     polygon_area,
     polygon_centroid,
+    refine,
     structured_quad_mesh,
     validate_mesh,
 )
@@ -307,6 +308,82 @@ class TestMeshAreaAndConformity:
         ])
         issues = check_conformity(nodes, [[0, 1, 2, 3, 4]])
         assert any("off the parent-edge midpoint" in msg for msg in issues)
+
+
+    def test_conformity_memory_is_linear(self):
+        import tracemalloc
+
+        nodes, elems = structured_quad_mesh(64)
+        tracemalloc.start()
+        try:
+            issues = check_conformity(nodes, elems)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert issues == []
+        assert peak < 8 * 2**20
+
+    def test_violations_match_dense_oracle(self):
+        for nodes, elems in nonconforming_meshes():
+            assert check_conformity(nodes, elems) == dense_conformity_oracle(nodes, elems)
+
+
+def dense_conformity_oracle(nodes, elements):
+    """Per-element loop plus a dense side-by-node test: the reference for
+    ``check_conformity``'s violation list and its order."""
+    nodes = np.asarray(nodes, dtype=float)
+    out = []
+    for i, cyc in enumerate(elements):
+        idx = np.asarray(cyc, dtype=np.int64)
+        v = nodes[idx]
+        d = element_diameter(v)
+        prev = np.roll(v, 1, axis=0)
+        nxt = np.roll(v, -1, axis=0)
+        chord = nxt - prev
+        clen = np.linalg.norm(chord, axis=1)
+        off = np.abs(chord[:, 0] * (v[:, 1] - prev[:, 1]) - chord[:, 1] * (v[:, 0] - prev[:, 0]))
+        flat = (off < 1e-8 * d * np.where(clen > 0, clen, 1.0)) & \
+               (np.sum((v - prev) * chord, axis=1) > 0) & \
+               (np.sum((v - nxt) * -chord, axis=1) > 0)
+        if np.any(flat & np.roll(flat, -1)):
+            out.append(f"element {i}: two hanging nodes on one straight segment")
+        drift = np.linalg.norm(v - 0.5 * (prev + nxt), axis=1)
+        for j in np.flatnonzero(flat & ~np.roll(flat, 1) & ~np.roll(flat, -1)):
+            if drift[j] > 1e-10 * d:
+                out.append(f"element {i}: hanging node {int(idx[j])} off the parent-edge midpoint")
+    topo = build_topology(nodes, elements)
+    be = topo.edge[topo.boundary_edge_mask()]
+    a, b = nodes[be[:, 0]], nodes[be[:, 1]]
+    ab = b - a
+    L2 = np.sum(ab * ab, axis=1)
+    t = ((nodes[None, :, :] - a[:, None, :]) * ab[:, None, :]).sum(-1) / L2[:, None]
+    dist = np.linalg.norm(nodes[None, :, :] - (a[:, None, :] + t[..., None] * ab[:, None, :]), axis=-1)
+    hit = (t > 1e-9) & (t < 1.0 - 1e-9) & (dist < 1e-9 * np.sqrt(L2)[:, None])
+    for k, j in zip(*np.nonzero(hit)):
+        out.append(f"node {int(j)} lies inside unmatched side {tuple(int(x) for x in be[k])}")
+    return out
+
+
+def nonconforming_meshes():
+    """Hand-built invalid meshes, plus refined meshes where every other
+    hanging node is dropped from the cycle it hangs in and one kept hanging
+    node is slid off its parent-edge midpoint."""
+    yield double_hang_mesh()
+    yield invisible_hang_mesh()
+    yield np.array([[0.0, 0.0], [0.8, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]), [[0, 1, 2, 3, 4]]
+    rng = np.random.default_rng(3)
+    for n in (3, 6):
+        nodes, elems = structured_quad_mesh(n)
+        for _ in range(2):
+            nodes, elems = refine(nodes, elems, rng.choice(len(elems), n, replace=False))
+        hung = [(i, j) for i in range(len(elems))
+                for j in np.flatnonzero(detect_hanging_nodes(i, nodes, elems))]
+        dropped = {(i, elems[i][j]) for i, j in hung[::2]}
+        i, j = hung[1]
+        cyc = elems[i]
+        moved = nodes.copy()
+        moved[cyc[j]] += 0.1 * (nodes[cyc[(j + 1) % len(cyc)]] - nodes[cyc[j - 1]])
+        yield moved, [[v for v in c if (k, v) not in dropped] for k, c in enumerate(elems)]
 
 
 def test_structured_quad_mesh_shapes():

@@ -14,16 +14,7 @@ from polyrefine import (
     polygon_area,
     refine,
     structured_quad_mesh,
-    subdivide_element,
     validate_mesh,
-)
-from polyrefine.refinement import (
-    EDGE_MID,
-    VERTEX,
-    centroid_of,
-    edge_mid,
-    extend_elements,
-    vertex,
 )
 
 from sample_meshes import (
@@ -63,13 +54,10 @@ def brute_force_closure(nodes, elements, topo, marked):
     return S - {int(m) for m in marked}
 
 
-def conn_coords(conn, nodes, topo):
-    if conn.kind == VERTEX:
-        return nodes[conn.idx]
-    if conn.kind == EDGE_MID:
-        a, b = topo.edge[conn.idx]
-        return 0.5 * (nodes[a] + nodes[b])
-    return topo.centroid[conn.idx]
+def node_index(nodes, p):
+    """Index of the refined-mesh node at coordinates ``p``."""
+    (hit,) = np.flatnonzero(np.all(np.isclose(nodes, p, rtol=0, atol=1e-14), axis=1))
+    return int(hit)
 
 
 def assert_healthy(nodes, elements, ref_area):
@@ -123,44 +111,39 @@ class TestClosure:
 class TestSubdivide:
     def test_square_four_quads(self):
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
-        cells, rows = subdivide_element(0, SQUARE_NODES, SQUARE_ELEMS, topo)
+        nodes, cells = refine(SQUARE_NODES, SQUARE_ELEMS, [0])
         assert len(cells) == 4
-        e = topo.elem2edge[0]
+        e = [int(k) for k in topo.elem2edge[0]]
+        cen = 8
+        # all four edges are cut: edge k's midpoint is node 4 + k
         for j, cell in enumerate(cells):
-            assert cell == [edge_mid(e[(j - 1) % 4]), vertex(j), edge_mid(e[j]), centroid_of(0)]
-        assert all(row == [None, None, None, None] for row in rows)
+            assert cell == [4 + e[(j - 1) % 4], j, 4 + e[j], cen]
+            a, b = topo.edge[e[j]]
+            assert np.array_equal(nodes[4 + e[j]], 0.5 * (SQUARE_NODES[a] + SQUARE_NODES[b]))
+        assert np.array_equal(nodes[cen], topo.centroid[0])
 
     def test_pentagon_with_two_hanging_vertices(self):
         # triangle with midpoints listed on two sides: flats at positions 1 and 4
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
         elems = [[0, 1, 2, 3, 4]]
         topo = build_topology(nodes, elems)
-        cells, rows = subdivide_element(0, nodes, elems, topo)
-        e = topo.elem2edge[0]
-        assert len(cells) == 3
+        out_nodes, cells = refine(nodes, elems, [0])
+        # only the trivial edge 2-3 is cut: node 5 is its midpoint, node 6 the centroid
+        assert len(out_nodes) == 7
+        assert np.array_equal(out_nodes[5], [1.0, 1.0])
+        assert np.array_equal(out_nodes[6], topo.centroid[0])
         # the hanging vertex replaces the midpoint of each nontrivial edge
-        assert cells[0] == [vertex(4), vertex(0), vertex(1), centroid_of(0)]
-        assert cells[1] == [vertex(1), vertex(2), edge_mid(e[2]), centroid_of(0)]
-        assert cells[2] == [edge_mid(e[2]), vertex(3), vertex(4), centroid_of(0)]
-        assert rows[0] == [int(e[4]), int(e[0]), None, None]
-        assert rows[1] == [int(e[1]), None, None, None]
-        assert rows[2] == [None, int(e[3]), None, None]
+        assert cells == [[4, 0, 1, 6], [1, 2, 5, 6], [5, 3, 4, 6]]
 
     def test_triangle_subcell_areas(self):
-        topo = build_topology(TRIANGLE_NODES, TRIANGLE_ELEMS)
-        cells, _ = subdivide_element(0, TRIANGLE_NODES, TRIANGLE_ELEMS, topo)
+        nodes, cells = refine(TRIANGLE_NODES, TRIANGLE_ELEMS, [0])
         assert len(cells) == 3
-        total = sum(
-            polygon_area([conn_coords(c, TRIANGLE_NODES, topo) for c in cell]) for cell in cells
-        )
+        total = sum(polygon_area(nodes[np.asarray(cell)]) for cell in cells)
         assert total == pytest.approx(polygon_area(TRIANGLE_NODES), rel=1e-12)
 
     def test_centroid_not_interior_aborts(self):
         nodes, elems = horseshoe_mesh()
-        topo = build_topology(nodes, elems)
-        with pytest.raises(CentroidNotInteriorError):
-            subdivide_element(0, nodes, elems, topo)
-        with pytest.raises(CentroidNotInteriorError):
+        with pytest.raises(CentroidNotInteriorError, match="element 0"):
             refine(nodes, elems, [0])
 
 
@@ -192,60 +175,71 @@ class TestCutEdges:
 class TestExtension:
     def test_right_square_gains_shared_midpoint(self):
         nodes, elems = two_squares()
-        topo = build_topology(nodes, elems)
-        cut = compute_cut_edges(nodes, elems, topo, [0])
-        nbr, staged = extend_elements(nodes, elems, topo, [0], cut, [])
-        assert staged == []
-        assert set(nbr) == {1}
-        cycle = nbr[1]
+        out_nodes, cells = refine(nodes, elems, [0])
+        cycle = cells[1]
         assert len(cycle) == 5
-        shared = [k for k in cut if set(topo.edge[k]) == {1, 4}]
-        assert cycle.count(edge_mid(shared[0])) == 1
+        shared = node_index(out_nodes, 0.5 * (nodes[1] + nodes[4]))
+        assert cycle.count(shared) == 1
+        assert cycle == [1, 2, 5, 4, shared]
 
     def test_neighbor_with_two_cut_edges_grows_by_two(self):
         nodes, elems = structured_quad_mesh(3)
         topo = build_topology(nodes, elems)
         refset = [0, 2]  # both neighbours of element 1
-        cut = compute_cut_edges(nodes, elems, topo, refset)
-        nbr, _ = extend_elements(nodes, elems, topo, refset, cut, [])
-        in_row = sum(1 for e in topo.elem2edge[1] if e in set(cut))
+        cut = set(compute_cut_edges(nodes, elems, topo, refset))
+        in_row = sum(1 for e in topo.elem2edge[1] if e in cut)
         assert in_row == 2
-        assert len(nbr[1]) == len(elems[1]) + 2
+        _, cells = refine(nodes, elems, refset)
+        assert len(cells[1]) == len(elems[1]) + 2
 
     def test_nontrivial_shared_edge_leaves_neighbor_unchanged(self):
         nodes, elems = square_and_hung_rectangle()
-        topo = build_topology(nodes, elems)
-        cut = compute_cut_edges(nodes, elems, topo, [2])  # rectangle with the hanging node
-        nbr, _ = extend_elements(nodes, elems, topo, [2], cut, [])
-        assert [vertex(v) for v in elems[0]] == nbr[0]
-        assert [vertex(v) for v in elems[1]] == nbr[1]
+        _, cells = refine(nodes, elems, [2])  # rectangle with the hanging node
+        assert cells[0] == elems[0]
+        assert cells[1] == elems[1]
+
+    def test_subcell_gains_midpoint_of_nontrivial_edge_cut_across(self):
+        """The rectangle's edge (1,1)-(1,0) is nontrivial for it but trivial
+        for the marked square on the other side, which cuts it: the
+        rectangle's subcell at (1,0) lists that midpoint after the hanging
+        vertex that stands in for its own corner."""
+        nodes, elems = square_and_hung_rectangle()
+        out_nodes, cells = refine(nodes, elems, [0, 2])
+        m12 = node_index(out_nodes, [1.0, 0.5])
+        m16 = node_index(out_nodes, [1.5, 0.0])
+        cen = node_index(out_nodes, build_topology(nodes, elems).centroid[2])
+        assert cells[2] == [2, m12, 1, m16, cen]
 
 
 class TestPartitionAndAssemble:
     def test_partition_marked_stages_per_element(self):
-        from polyrefine import partition_marked
-
         nodes, elems = structured_quad_mesh(2)
-        topo = build_topology(nodes, elems)
-        staged = partition_marked(nodes, elems, topo, [0, 3])
-        assert sorted(staged) == [0, 3]
-        for i, (cells, rows) in staged.items():
-            assert len(cells) == 4  # one quad per vertex
-            assert cells == subdivide_element(i, nodes, elems, topo)[0]
-            assert all(r == [None, None, None, None] for r in rows)
+        out_nodes, cells = refine(nodes, elems, [0, 3])
+        # 9 nodes, 8 cut edges, centroids 17 (element 0) and 18 (element 3)
+        assert len(out_nodes) == 19
+        staged = {0: [cells[0]] + cells[4:7], 3: [cells[3]] + cells[7:10]}
+        assert len(cells) == 10
+        for i, cen in ((0, 17), (3, 18)):
+            assert np.array_equal(out_nodes[cen], build_topology(nodes, elems).centroid[i])
+            assert len(staged[i]) == 4  # one quad per vertex
+            for j, cell in enumerate(staged[i]):
+                assert len(cell) == 4
+                assert cell[1] == elems[i][j] and cell[3] == cen
 
     def test_plan_and_assemble_match_refine(self):
-        from polyrefine import assemble_refined_mesh, plan_refinement
-
         nodes, elems = cascade_mesh()
         topo = build_topology(nodes, elems)
-        plan = plan_refinement(nodes, elems, topo, [0])
-        assert plan.marked == [0]
-        assert plan.additional == [5, 7]
-        n2, e2 = assemble_refined_mesh(nodes, elems, topo, plan)
-        n3, e3 = refine(nodes, elems, [0])
-        assert np.array_equal(n2, n3)
-        assert e2 == e3
+        assert closure_marked_set(nodes, elems, topo, [0]) == {5, 7}
+        out_nodes, cells = refine(nodes, elems, [0])
+        cut = compute_cut_edges(nodes, elems, topo, [0, 5, 7])
+        cen = {i: len(nodes) + len(cut) + r for r, i in enumerate([0, 5, 7])}
+        assert len(out_nodes) == len(nodes) + len(cut) + 3
+        # slots of refined elements hold a subcell, the rest follow:
+        # closure-added elements first (5, then 7), then the marked one
+        for i in (0, 5, 7):
+            assert cells[i][-1] == cen[i]
+        assert [cell[-1] for cell in cells[8:]] == [cen[5]] * 3 + [cen[7]] * 3 + [cen[0]] * 3
+        assert out_nodes.tolist()[:len(nodes)] == nodes.tolist()
 
 
 class TestRefine:
