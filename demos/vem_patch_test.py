@@ -27,11 +27,13 @@ meshes = {
     "irregular refinement": refine(*refine(*structured_quad_mesh(3), [0, 4]), [2]),
 }
 print("patch test (affine boundary data, f = 0):")
+worst = 0.0
 for name, (nodes, elements) in meshes.items():
     topology = build_topology(nodes, elements)
     u = solve_poisson(nodes, elements, topology, zero, affine)
     err = np.abs(u - affine(nodes[:, 0], nodes[:, 1])).max()
     print(f"  {name:34s} max vertex error {err:.2e}")
+    worst = max(worst, err)
 
 # f = 1, u = 0 on the boundary of the unit square, against 5-point differences
 n = 16
@@ -48,3 +50,6 @@ fd[1:n, 1:n] = spsolve(A.tocsc(), np.ones(m * m)).reshape(m, m)
 print(f"\nf = 1 on the {n}x{n} grid:")
 print(f"  peak value      {u.max():.5f} (five-point oracle {fd.max():.5f})")
 print(f"  max difference  {np.abs(u.reshape(n + 1, n + 1) - fd).max():.2e}")
+
+if worst > 1e-9:
+    raise SystemExit(f"patch test failed: max vertex error {worst:.2e}")

@@ -26,8 +26,6 @@ from .vem_poisson import (
     SingularProjectionError,
     SolverError,
     assemble,
-    local_load,
-    local_projection,
     local_stiffness,
     solve_dirichlet,
     solve_poisson,
@@ -67,8 +65,6 @@ __all__ = [
     "estimate",
     "gaussian_peak_problem",
     "load_mesh",
-    "local_load",
-    "local_projection",
     "local_stiffness",
     "mesh_area",
     "polygon_area",

@@ -37,7 +37,7 @@ def estimate(nodes, elements, topology: MeshTopology, u, f) -> np.ndarray:
     u0 = u[conc]
     u1 = u[conc[nxt]]
 
-    area = 0.5 * np.add.reduceat(p0[:, 0] * p1[:, 1] - p1[:, 0] * p0[:, 1], red)
+    area = topology.area
     # gradient of the elliptic projection from the boundary integral of u*n
     gx = np.add.reduceat(0.5 * (u0 + u1) * (p1[:, 1] - p0[:, 1]), red) / area
     gy = np.add.reduceat(-0.5 * (u0 + u1) * (p1[:, 0] - p0[:, 0]), red) / area

@@ -59,6 +59,8 @@ class MeshTopology:
     neighbor : list of int arrays
         For element ``i``, entry ``j`` is the element across local edge
         ``j`` (the element itself across boundary edges).
+    area : (NT,) float array
+        Signed area (positive for counterclockwise cycles).
     centroid : (NT, 2) float array
     diameter : (NT,) float array
         Maximum pairwise vertex distance per element.
@@ -75,6 +77,7 @@ class MeshTopology:
     elem2edge: list
     edge2elem: np.ndarray
     neighbor: list
+    area: np.ndarray
     centroid: np.ndarray
     diameter: np.ndarray
     offsets: np.ndarray
@@ -263,10 +266,10 @@ def build_topology(nodes, elements) -> MeshTopology:
     elem2edge = [inv[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
     neighbor = [across[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
-    _, centroid, diameter = _polygon_tables(nodes, offsets, conc, nxt)
+    area, centroid, diameter = _polygon_tables(nodes, offsets, conc, nxt)
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
-    return MeshTopology(edge, elem2edge, edge2elem, neighbor, centroid, diameter,
+    return MeshTopology(edge, elem2edge, edge2elem, neighbor, area, centroid, diameter,
                         offsets, conc, inv)
 
 

@@ -5,7 +5,8 @@ vertex.  Stiffness matrices combine the exactly computable consistency part
 (the elliptic projection onto affine functions, built from boundary
 integrals only) with an identity-scaled stabilization of the projection
 remainder.  The load uses one-point centroid quadrature.  Dirichlet data is
-eliminated before the sparse direct solve.
+eliminated before the sparse direct solve, a symmetric-mode LU that orders
+and pivots the way a sparse Cholesky factorization would.
 """
 
 from __future__ import annotations
@@ -14,16 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu
 
-from .mesh_core import (
-    MeshError,
-    MeshTopology,
-    _as_nodes,
-    _length_groups,
-    polygon_area,
-    polygon_centroid,
-)
+from .mesh_core import MeshError, MeshTopology, _as_nodes, _length_groups, element_diameter
 
 
 class SingularProjectionError(MeshError):
@@ -32,28 +26,6 @@ class SingularProjectionError(MeshError):
 
 class SolverError(MeshError):
     """The reduced linear system could not be solved to tolerance."""
-
-
-@dataclass(frozen=True)
-class LocalProjection:
-    """Projection matrices of one element.
-
-    ``D`` (Nv x 3) holds the scaled monomials ``1, (x-xc)/h, (y-yc)/h`` at
-    the vertices, ``B`` (3 x Nv) the defining functionals (vertex average
-    plus edge-wise trapezoidal boundary integrals, exact for affine
-    functions), ``G = B @ D``, and ``pi_star = G^-1 @ B`` maps vertex values
-    to monomial coefficients.
-    """
-
-    D: np.ndarray
-    B: np.ndarray
-    G: np.ndarray
-    pi_star: np.ndarray
-
-    @property
-    def Pi(self) -> np.ndarray:
-        """Vertex values of the projected function (Nv x Nv)."""
-        return self.D @ self.pi_star
 
 
 @dataclass
@@ -66,93 +38,60 @@ class LinearSystem:
     coords: np.ndarray
 
 
-def _batched_projection(V: np.ndarray):
-    """D, B, G and areas for a stack of same-size polygons (M, Nv, 2)."""
-    M, n, _ = V.shape
+def _batched_stiffness(V: np.ndarray, area: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Local stiffness matrices of a stack of same-size polygons (M, Nv, 2).
+
+    ``area`` is the signed area (positive for counterclockwise vertices) and
+    ``h`` the diameter of each polygon.  With ``g_j`` the gradient of the
+    projection of the ``j``-th vertex basis function and ``Pi`` the vertex
+    values of the projection, ``K = |K| g g^T + (I - Pi)^T (I - Pi)``.
+    """
+    # the scaled-monomial projection matrix G has det G = (|K| / h^2)^2; require det G >= 1e-14
+    if not (np.abs(area) >= 1e-7 * h * h).all():
+        raise SingularProjectionError("projection matrix is singular")
+    n = V.shape[1]
     x, y = V[..., 0], V[..., 1]
-    xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
-    cr = x * yn - xn * y
-    area = 0.5 * np.sum(cr, axis=1)
-    diff = V[:, :, None, :] - V[:, None, :, :]
-    h = np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(1, 2)))
-    if not (np.abs(area) > 1e-14 * h * h).all():
-        raise SingularProjectionError("degenerate element geometry")
-    cx = np.sum((x + xn) * cr, axis=1) / (6.0 * area)
-    cy = np.sum((y + yn) * cr, axis=1) / (6.0 * area)
-
-    D = np.empty((M, n, 3))
-    D[..., 0] = 1.0
-    D[..., 1] = (x - cx[:, None]) / h[:, None]
-    D[..., 2] = (y - cy[:, None]) / h[:, None]
-
-    B = np.empty((M, 3, n))
-    B[:, 0, :] = 1.0 / n
-    B[:, 1, :] = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / (2.0 * h[:, None])
-    B[:, 2, :] = -(np.roll(x, -1, axis=1) - np.roll(x, 1, axis=1)) / (2.0 * h[:, None])
-    G = B @ D
-    return D, B, G, area, np.column_stack([cx, cy]), h
-
-
-def _batched_stiffness(V: np.ndarray):
-    D, B, G, area, cen, h = _batched_projection(V)
-    det = np.linalg.det(G)
-    scale = np.abs(area) / (h * h)
-    if not (np.abs(det) >= 1e-14 * np.maximum(scale, 1.0)).all():
-        raise SingularProjectionError("projection matrix is singular")
-    pi_star = np.linalg.solve(G, B)
-    Gt = G.copy()
-    Gt[:, 0, :] = 0.0
-    Kc = np.einsum("mai,mab,mbj->mij", pi_star, Gt, pi_star)
-    R = np.eye(V.shape[1])[None, :, :] - D @ pi_star
-    Ks = np.einsum("mki,mkj->mij", R, R)
-    return Kc + Ks, area, cen
-
-
-def local_projection(vertices) -> LocalProjection:
-    """Projection matrices of a single polygon given counterclockwise vertices."""
-    V = np.asarray(vertices, dtype=float)[None, :, :]
-    D, B, G, area, _, h = _batched_projection(V)
-    det = float(np.linalg.det(G[0]))
-    if abs(det) < 1e-14 * max(abs(area[0]) / (h[0] * h[0]), 1.0):
-        raise SingularProjectionError("projection matrix is singular")
-    return LocalProjection(D[0], B[0], G[0], np.linalg.solve(G[0], B[0]))
+    a2 = 2.0 * area[:, None]
+    gx = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / a2
+    gy = (np.roll(x, 1, axis=1) - np.roll(x, -1, axis=1)) / a2
+    d = V - V.mean(axis=1, keepdims=True)
+    R = np.eye(n) - 1.0 / n - d[..., 0, None] * gx[:, None, :] - d[..., 1, None] * gy[:, None, :]
+    Kc = area[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
+    return Kc + np.swapaxes(R, 1, 2) @ R
 
 
 def local_stiffness(vertices) -> np.ndarray:
     """Symmetric positive semidefinite local stiffness (kernel = constants)."""
-    K, _, _ = _batched_stiffness(np.asarray(vertices, dtype=float)[None, :, :])
-    return K[0]
-
-
-def local_load(vertices, f) -> np.ndarray:
-    """Vertex load ``(area / Nv) * f(centroid)`` for one element."""
-    v = np.asarray(vertices, dtype=float)
-    area = polygon_area(v)
-    c = polygon_centroid(v)
-    return np.full(len(v), area / len(v) * float(f(c[0], c[1])))
+    V = np.asarray(vertices, dtype=float)
+    W = np.roll(V, -1, axis=0)
+    area = 0.5 * np.sum(V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1])
+    return _batched_stiffness(V[None], np.array([area]), np.array([element_diameter(V)]))[0]
 
 
 def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
     """Assemble the global stiffness matrix and load vector.
 
     ``f`` is called with coordinate arrays ``f(x, y)``.  Boundary vertices
-    are the endpoints of edges incident to a single element.
+    are the endpoints of edges incident to a single element.  Areas,
+    centroids and diameters are read from ``topology``.
     """
     nodes = _as_nodes(nodes)
     N = len(nodes)
+    offsets, cycles = topology.offsets, topology.cycles
     rows, cols, vals = [], [], []
-    b = np.zeros(N)
-    for _, cyc in _length_groups(topology.offsets, topology.cycles, np.arange(len(elements))):
-        n = cyc.shape[1]
-        K, area, cen = _batched_stiffness(nodes[cyc])
+    for idx, cyc in _length_groups(offsets, cycles, np.arange(len(elements))):
+        K = _batched_stiffness(nodes[cyc], topology.area[idx], topology.diameter[idx])
         rows.append(np.broadcast_to(cyc[:, :, None], K.shape).ravel())
         cols.append(np.broadcast_to(cyc[:, None, :], K.shape).ravel())
         vals.append(K.ravel())
-        load = (area / n) * np.asarray(f(cen[:, 0], cen[:, 1]), dtype=float)
-        np.add.at(b, cyc.ravel(), np.repeat(load, n))
     A = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
     ).tocsr()
+
+    lengths = np.diff(offsets)
+    cen = topology.centroid
+    load = topology.area / lengths * np.asarray(f(cen[:, 0], cen[:, 1]), dtype=float)
+    b = np.bincount(cycles, weights=np.repeat(load, lengths), minlength=N)
 
     bmask = np.zeros(N, dtype=bool)
     bedges = topology.edge[topology.boundary_edge_mask()]
@@ -161,17 +100,26 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
 
 
 def solve_dirichlet(system: LinearSystem, g, rtol: float = 1e-10) -> np.ndarray:
-    """Solve with Dirichlet values ``g(x, y)`` on the boundary vertices."""
+    """Solve with Dirichlet values ``g(x, y)`` on the boundary vertices.
+
+    The reduced matrix is symmetric positive definite, so it is factored
+    with a minimum-degree ordering of ``A + A^T`` and diagonal pivots.
+    """
     bmask = system.boundary_mask
     u = np.zeros(len(system.rhs))
     xb, yb = system.coords[bmask, 0], system.coords[bmask, 1]
     u[bmask] = np.asarray(g(xb, yb), dtype=float)
     free = ~bmask
     if free.any():
-        A = system.matrix
-        Aff = A[free][:, free].tocsc()
-        rhs = system.rhs[free] - A[free][:, bmask] @ u[bmask]
-        uf = spsolve(Aff, rhs)
+        Af = system.matrix[free]
+        Aff = Af[:, free].tocsc()
+        rhs = system.rhs[free] - Af[:, bmask] @ u[bmask]
+        try:
+            lu = splu(Aff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
+        except RuntimeError as exc:  # an exactly singular factor
+            raise SolverError(str(exc)) from exc
+        uf = lu.solve(rhs)
         resid = np.linalg.norm(Aff @ uf - rhs)
         if not np.isfinite(uf).all() or resid > rtol * max(np.linalg.norm(rhs), 1e-300):
             raise SolverError(f"residual {resid:.3e} exceeds tolerance")

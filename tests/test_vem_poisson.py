@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
 from polyrefine import (
     SingularProjectionError,
+    SolverError,
     assemble,
     build_topology,
-    local_load,
-    local_projection,
+    element_diameter,
     local_stiffness,
+    polygon_area,
+    polygon_centroid,
     refine,
     solve_dirichlet,
     solve_poisson,
@@ -19,10 +23,84 @@ from polyrefine import (
 from sample_meshes import (
     SQUARE_ELEMS,
     SQUARE_NODES,
+    base_mesh_pool,
     hexagon_patch,
     pentagon_pair,
+    square_and_hung_rectangle,
     two_squares,
 )
+
+
+def projection_oracle(vertices):
+    """``D``, ``B``, ``G = B D`` and ``pi_star = G^-1 B`` of one polygon.
+
+    ``D`` (Nv x 3) holds the scaled monomials ``1, (x-xc)/h, (y-yc)/h`` at
+    the vertices, ``B`` (3 x Nv) the vertex average and the edge-wise
+    trapezoidal boundary integrals of their gradients.
+    """
+    v = np.asarray(vertices, dtype=float)
+    n = len(v)
+    x, y = v[:, 0], v[:, 1]
+    xc, yc = polygon_centroid(v)
+    h = element_diameter(v)
+    D = np.column_stack([np.ones(n), (x - xc) / h, (y - yc) / h])
+    B = np.vstack([
+        np.full(n, 1.0 / n),
+        (np.roll(y, -1) - np.roll(y, 1)) / (2.0 * h),
+        (np.roll(x, 1) - np.roll(x, -1)) / (2.0 * h),
+    ])
+    G = B @ D
+    return D, B, G, np.linalg.solve(G, B)
+
+
+def oracle_stiffness(vertices):
+    """``pi*^T G~ pi* + (I - D pi*)^T (I - D pi*)``, ``G~`` being ``G`` with row 0 zeroed."""
+    D, _, G, pi_star = projection_oracle(vertices)
+    Gt = G.copy()
+    Gt[0, :] = 0.0
+    R = np.eye(len(D)) - D @ pi_star
+    return pi_star.T @ Gt @ pi_star + R.T @ R
+
+
+def oracle_load(vertices, f):
+    """Vertex load ``(area / Nv) * f(centroid)``."""
+    v = np.asarray(vertices, dtype=float)
+    c = polygon_centroid(v)
+    return np.full(len(v), polygon_area(v) / len(v) * float(f(c[0], c[1])))
+
+
+def oracle_matrix(nodes, elements):
+    """Dense global stiffness scattered element by element from the oracle."""
+    A = np.zeros((len(nodes), len(nodes)))
+    for cyc in elements:
+        cyc = np.asarray(cyc)
+        A[np.ix_(cyc, cyc)] += oracle_stiffness(nodes[cyc])
+    return A
+
+
+def rectangle(eps):
+    return [(0.0, 0.0), (1.0, 0.0), (1.0, eps), (0.0, eps)]
+
+
+def refined_8x8():
+    """An 8x8 grid refined twice on seeded 20 % markings (hanging nodes included)."""
+    rng = np.random.default_rng(3)
+    nodes, elems = structured_quad_mesh(8)
+    for _ in range(2):
+        nodes, elems = refine(nodes, elems, np.flatnonzero(rng.random(len(elems)) < 0.2))
+    return nodes, elems
+
+
+@st.composite
+def convex_polygons(draw):
+    """Counterclockwise convex polygons with 3-8 vertices on an ellipse."""
+    n = draw(st.integers(3, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+    angles = draw(st.floats(0.0, 2.0 * np.pi)) + 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    scale = draw(st.floats(1e-3, 1e3))
+    aspect = draw(st.floats(0.2, 1.0))
+    cx, cy = draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0))
+    return scale * np.column_stack([cx + np.cos(angles), cy + aspect * np.sin(angles)])
 
 
 def zero(x, y):
@@ -79,20 +157,55 @@ class TestLocalMatrices:
 
     def test_projection_linear_consistency(self):
         verts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 2.0], [0.0, 1.0]])
-        proj = local_projection(verts)
+        D, _, _, pi_star = projection_oracle(verts)
         coeff = np.array([0.3, -1.2, 2.5])
-        dofs = proj.D @ coeff  # vertex values of an affine function
-        assert proj.pi_star @ dofs == pytest.approx(coeff, rel=1e-12)
-        assert np.abs(proj.G - proj.B @ proj.D).max() < 1e-14
+        dofs = D @ coeff  # vertex values of an affine function
+        assert pi_star @ dofs == pytest.approx(coeff, rel=1e-12)
+        # the stabilization vanishes on affine functions: energy = area * |grad|^2
+        h = element_diameter(verts)
+        energy = polygon_area(verts) * (coeff[1] ** 2 + coeff[2] ** 2) / h**2
+        assert dofs @ local_stiffness(verts) @ dofs == pytest.approx(energy, rel=1e-12)
 
     def test_singular_geometry_raises(self):
         with pytest.raises(SingularProjectionError):
             local_stiffness([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
 
+    def test_singular_bound_is_area_over_diameter_squared(self):
+        # det G = (area / h^2)^2 must reach 1e-14, i.e. area >= 1e-7 h^2
+        with pytest.raises(SingularProjectionError):
+            local_stiffness(rectangle(5e-8))
+        K = local_stiffness(rectangle(2e-7))
+        assert np.abs(K - oracle_stiffness(rectangle(2e-7))).max() <= 1e-13 * np.abs(K).max()
+
     def test_local_load(self):
-        assert np.all(local_load(SQUARE_NODES, zero) == 0.0)
-        assert local_load(SQUARE_NODES, one) == pytest.approx(np.full(4, 0.25))
-        assert local_load(SQUARE_NODES, lambda x, y: x) == pytest.approx(np.full(4, 0.125))
+        topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
+        for f, value in [(zero, 0.0), (one, 0.25), (lambda x, y: x, 0.125)]:
+            rhs = assemble(SQUARE_NODES, SQUARE_ELEMS, topo, f).rhs
+            assert rhs == pytest.approx(oracle_load(SQUARE_NODES, f), rel=1e-14, abs=0.0)
+            assert rhs == pytest.approx(np.full(4, value), rel=1e-14, abs=0.0)
+
+
+class TestClosedFormOracle:
+    def test_every_pool_element(self):
+        for nodes, elems in base_mesh_pool():
+            for cyc in elems:
+                verts = nodes[np.asarray(cyc)]
+                K = local_stiffness(verts)
+                assert np.abs(K - oracle_stiffness(verts)).max() <= 1e-13 * np.abs(K).max()
+
+    @settings(max_examples=200, deadline=None)
+    @given(convex_polygons())
+    def test_convex_polygons(self, verts):
+        K = local_stiffness(verts)
+        assert np.abs(K - oracle_stiffness(verts)).max() <= 1e-13 * np.abs(K).max()
+
+    def test_assembled_refined_mesh_with_hanging_nodes(self):
+        nodes, elems = refine(*structured_quad_mesh(4), [0, 5])
+        nodes, elems = refine(nodes, elems, [1, 6, 7])
+        assert any(len(c) > 4 for c in elems)  # hanging nodes present
+        A = assemble(nodes, elems, build_topology(nodes, elems), zero).matrix.toarray()
+        ref = oracle_matrix(nodes, elems)
+        assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestAssemble:
@@ -177,6 +290,30 @@ class TestSolve:
                 w = np.linalg.eigvalsh(local_stiffness(nodes[np.asarray(cyc)]))
                 assert abs(w[0]) < 1e-12  # constant kernel only
                 assert w[1] > 1e-9
+
+    @pytest.mark.parametrize("make_mesh", [pentagon_pair, square_and_hung_rectangle, refined_8x8],
+                             ids=lambda make: make.__name__)
+    def test_matches_dense_solve(self, make_mesh):
+        nodes, elems = make_mesh()
+        g = lambda x, y: np.sin(3.0 * x) + x * y
+        system = assemble(nodes, elems, build_topology(nodes, elems), lambda x, y: 1.0 + x * x)
+        u = solve_dirichlet(system, g)
+
+        b = system.boundary_mask
+        free = ~b
+        A = system.matrix.toarray()
+        ub = g(nodes[b, 0], nodes[b, 1])
+        uf = np.linalg.solve(A[np.ix_(free, free)], system.rhs[free] - A[np.ix_(free, b)] @ ub)
+        assert free.any()
+        assert np.abs(u[free] - uf).max() <= 1e-12 * max(np.abs(uf).max(), 1.0)
+        assert np.array_equal(u[b], ub)
+
+    def test_singular_system_raises_solver_error(self):
+        # an interior node that no element references leaves an empty row
+        nodes = np.vstack([SQUARE_NODES, [[0.5, 0.5]]])
+        system = assemble(nodes, SQUARE_ELEMS, build_topology(nodes, SQUARE_ELEMS), one)
+        with pytest.raises(SolverError):
+            solve_dirichlet(system, zero)
 
     def test_dirichlet_values_imposed_exactly(self):
         nodes, elems = pentagon_pair()
