@@ -20,6 +20,7 @@ import numpy as np
 from .adaptivity import adaptive_loop, total_indicator
 from .mesh_core import (
     MeshError,
+    _cycle_shifts,
     build_topology,
     check_conformity,
     hanging_flags,
@@ -113,12 +114,10 @@ def _cmd_quality(args) -> int:
     for msg in issues:
         print(f"conformity: {msg}")
     hanging = int(hanging_flags(nodes, topology).sum())
-    ratios = []
-    for i, cycle in enumerate(elements):
-        pts = nodes[np.asarray(cycle)]
-        lens = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
-        ratios.append(lens / topology.diameter[i])
-    ratios = np.concatenate(ratios)
+    pts = nodes[topology.cycles]
+    _, nxt = _cycle_shifts(topology.offsets)
+    sides = np.linalg.norm(pts[nxt] - pts, axis=1)
+    ratios = sides / np.repeat(topology.diameter, np.diff(topology.offsets))
     print(f"nodes {len(nodes)}, elements {len(elements)}, edges {topology.num_edges}")
     print(f"hanging nodes: {hanging}")
     print(f"edge/diameter ratio: min {ratios.min():.6g} max {ratios.max():.6g}")

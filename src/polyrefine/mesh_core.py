@@ -11,7 +11,7 @@ conforming polygonal complex even when hanging nodes are present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, combinations, compress, repeat
 
 import numpy as np
 
@@ -50,15 +50,9 @@ class MeshTopology:
     edge : (NE, 2) int array
         Unique vertex pairs with ``edge[k, 0] < edge[k, 1]``, sorted
         lexicographically.
-    elem2edge : list of int arrays
-        For element ``i``, entry ``j`` is the global index of the edge
-        joining local vertices ``j`` and ``j+1`` (cyclic).
     edge2elem : (NE, 2) int array
         The two elements incident to each edge; both entries equal for
         boundary edges.
-    neighbor : list of int arrays
-        For element ``i``, entry ``j`` is the element across local edge
-        ``j`` (the element itself across boundary edges).
     area : (NT,) float array
         Signed area (positive for counterclockwise cycles).
     centroid : (NT, 2) float array
@@ -70,13 +64,13 @@ class MeshTopology:
     cycles : (M,) int array
         All vertex cycles, concatenated.
     cycle_edges : (M,) int array
-        The same local edges as ``elem2edge``, concatenated.
+        Global index of the edge from each cycle position to the next
+        (cyclic) one; the element across it is the other entry of
+        ``edge2elem``.
     """
 
     edge: np.ndarray
-    elem2edge: list
     edge2elem: np.ndarray
-    neighbor: list
     area: np.ndarray
     centroid: np.ndarray
     diameter: np.ndarray
@@ -126,12 +120,10 @@ def _as_nodes(nodes) -> np.ndarray:
 
 
 def _cycle_arrays(elements):
-    """Cycle offsets, concatenated cycles and the flat position of each next vertex."""
-    offsets = np.zeros(len(elements) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, elements), dtype=np.int64, count=len(elements)), out=offsets[1:])
+    """Cycle offsets and concatenated cycles of an element list."""
+    offsets = np.r_[0, np.cumsum(np.fromiter(map(len, elements), dtype=np.int64, count=len(elements)))]
     conc = np.fromiter(chain.from_iterable(elements), dtype=np.int64, count=int(offsets[-1]))
-    _, nxt = _cycle_shifts(offsets)
-    return offsets, conc, nxt
+    return offsets, conc
 
 
 def _cycle_shifts(offsets):
@@ -163,42 +155,15 @@ def _length_groups(offsets, cycles, idx):
         yield sel, cycles[offsets[sel][:, None] + np.arange(L)]
 
 
-def polygon_area(vertices) -> float:
-    """Unsigned polygon area by the shoelace formula."""
-    v = np.asarray(vertices, dtype=float)
-    if len(v) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    w = np.roll(v, -1, axis=0)
-    area = 0.5 * abs(np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
-    d = element_diameter(v)
-    if area < 1e-14 * d * d:
-        raise DegeneratePolygonError(f"area {area:.3e} below degeneracy threshold")
-    return float(area)
+def _polygon_tables(nodes, offsets, cycles):
+    """Signed areas, centroids and diameters of all polygons of the flat cycle arrays.
 
-
-def polygon_centroid(vertices) -> np.ndarray:
-    """Area-weighted centroid of a simple polygon."""
-    v = np.asarray(vertices, dtype=float)
-    w = np.roll(v, -1, axis=0)
-    cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
-    a2 = np.sum(cr)  # twice the signed area
-    d = element_diameter(v)
-    if abs(a2) < 2e-14 * d * d:
-        raise DegeneratePolygonError("centroid of a degenerate polygon")
-    return np.sum((v + w) * cr[:, None], axis=0) / (3.0 * a2)
-
-
-def element_diameter(vertices) -> float:
-    """Maximum pairwise vertex distance."""
-    v = np.asarray(vertices, dtype=float)
-    diff = v[:, None, :] - v[None, :, :]
-    return float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
-
-
-def _polygon_tables(nodes, offsets, conc, nxt):
-    """Vectorized signed areas, centroids and diameters of all elements."""
-    p0 = nodes[conc]
-    p1 = nodes[conc[nxt]]
+    This is the one place polygon geometry is computed.  It checks nothing:
+    a degenerate polygon (see ``_degenerate``) gets a meaningless centroid.
+    """
+    _, nxt = _cycle_shifts(offsets)
+    p0 = nodes[cycles]
+    p1 = p0[nxt]
     cr = p0[:, 0] * p1[:, 1] - p1[:, 0] * p0[:, 1]
     red = offsets[:-1]
     area2 = np.add.reduceat(cr, red)
@@ -206,23 +171,60 @@ def _polygon_tables(nodes, offsets, conc, nxt):
     sy = np.add.reduceat((p0[:, 1] + p1[:, 1]) * cr, red)
 
     diam = np.empty(len(offsets) - 1)
-    for idx, cyc in _length_groups(offsets, conc, np.arange(len(diam))):
-        vm = nodes[cyc]
-        diff = vm[:, :, None, :] - vm[:, None, :, :]
-        diam[idx] = np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(1, 2)))
+    for idx, cyc in _length_groups(offsets, cycles, np.arange(len(diam))):
+        i, j = np.triu_indices(cyc.shape[1], 1)
+        d = nodes[cyc[:, i]] - nodes[cyc[:, j]]
+        diam[idx] = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max(axis=1, initial=0.0))
 
-    bad = np.abs(area2) < 2e-14 * diam * diam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = np.column_stack([sx, sy]) / (3.0 * area2)[:, None]
+    return 0.5 * area2, centroid, diam
+
+
+def _degenerate(area, diameter):
+    """Flags for polygons whose area is numerically zero relative to their diameter."""
+    return np.abs(area) < 1e-14 * diameter * diameter
+
+
+def _checked_tables(nodes, offsets, cycles):
+    """``_polygon_tables``, raising ``DegeneratePolygonError`` on the first degenerate polygon."""
+    area, centroid, diameter = _polygon_tables(nodes, offsets, cycles)
+    bad = _degenerate(area, diameter)
     if bad.any():
         raise DegeneratePolygonError(f"element {int(np.flatnonzero(bad)[0])} has vanishing area")
-    centroid = np.column_stack([sx, sy]) / (3.0 * area2)[:, None]
-    return 0.5 * area2, centroid, diam
+    return area, centroid, diameter
+
+
+def _single_cycle(vertices):
+    """Node table, offsets and cycle of one polygon given by its vertex coordinates."""
+    v = _as_nodes(vertices)
+    return v, np.array([0, len(v)]), np.arange(len(v))
+
+
+def polygon_area(vertices) -> float:
+    """Unsigned polygon area by the shoelace formula."""
+    if len(vertices) < 3:
+        raise ValueError("polygon needs at least 3 vertices")
+    area, _, _ = _checked_tables(*_single_cycle(vertices))
+    return float(abs(area[0]))
+
+
+def polygon_centroid(vertices) -> np.ndarray:
+    """Area-weighted centroid of a simple polygon."""
+    _, centroid, _ = _checked_tables(*_single_cycle(vertices))
+    return centroid[0]
+
+
+def element_diameter(vertices) -> float:
+    """Maximum pairwise vertex distance."""
+    _, _, diameter = _polygon_tables(*_single_cycle(vertices))
+    return float(diameter[0])
 
 
 def mesh_area(nodes, elements) -> float:
     """Total unsigned area of all elements."""
-    offsets, conc, nxt = _cycle_arrays(elements)
-    signed, _, _ = _polygon_tables(_as_nodes(nodes), offsets, conc, nxt)
-    return float(np.sum(np.abs(signed)))
+    area, _, _ = _checked_tables(_as_nodes(nodes), *_cycle_arrays(elements))
+    return float(np.sum(np.abs(area)))
 
 
 def build_topology(nodes, elements) -> MeshTopology:
@@ -234,6 +236,8 @@ def build_topology(nodes, elements) -> MeshTopology:
         If an element references a vertex outside the node table.
     NonManifoldEdgeError
         If an edge is shared by more than two elements.
+    DegeneratePolygonError
+        If an element has numerically zero area.
     TooDenseError
         If the smallest element diameter falls below ``4 * machine eps``.
     """
@@ -241,12 +245,13 @@ def build_topology(nodes, elements) -> MeshTopology:
     NT = len(elements)
     if NT == 0:
         raise ValueError("element table is empty")
-    offsets, conc, nxt = _cycle_arrays(elements)
+    offsets, conc = _cycle_arrays(elements)
     if conc.size == 0 or conc.min() < 0 or conc.max() >= len(nodes):
         raise InvalidIndexError("element vertex index out of range")
 
     # edge (a, b) with a < b as the key a * N + b, which sorts lexicographically
     N = len(nodes)
+    _, nxt = _cycle_shifts(offsets)
     key = np.minimum(conc, conc[nxt]) * N + np.maximum(conc, conc[nxt])
     ukey, first, inv = np.unique(key, return_index=True, return_inverse=True)
     edge = np.column_stack([ukey // N, ukey % N])
@@ -260,52 +265,42 @@ def build_topology(nodes, elements) -> MeshTopology:
     last[inv] = np.arange(inv.size)
     edge2elem = np.column_stack([owners[first], owners[last]])
 
-    ia = edge2elem[inv, 0]
-    across = np.where(ia == owners, edge2elem[inv, 1], ia)
-    bounds = offsets.tolist()
-    elem2edge = [inv[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    neighbor = [across[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-    area, centroid, diameter = _polygon_tables(nodes, offsets, conc, nxt)
+    area, centroid, diameter = _checked_tables(nodes, offsets, conc)
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
-    return MeshTopology(edge, elem2edge, edge2elem, neighbor, area, centroid, diameter,
-                        offsets, conc, inv)
+    return MeshTopology(edge, edge2elem, area, centroid, diameter, offsets, conc, inv)
 
 
 def _midpoint_error(v, prev, nxt) -> np.ndarray:
     return np.linalg.norm(v - 0.5 * (prev + nxt), axis=1)
 
 
-def hanging_mask(vertices, tol: float | None = None) -> np.ndarray:
-    """Boolean flags marking vertices that are midpoints of their cycle neighbours."""
-    v = np.asarray(vertices, dtype=float)
+def _midpoint_flags(nodes, offsets, cycles, diameter, tol) -> np.ndarray:
+    """Flags, per flat cycle position, for vertices at the midpoint of their cycle neighbours."""
+    v = nodes[cycles]
+    prv, nxt = _cycle_shifts(offsets)
     if tol is None:
-        tol = HANGING_TOL_REL * element_diameter(v)
-    return _midpoint_error(v, np.roll(v, 1, axis=0), np.roll(v, -1, axis=0)) < tol
-
-
-def hanging_flags(nodes, topology: MeshTopology, tol: float | None = None) -> np.ndarray:
-    """``hanging_mask`` of every element at once, aligned with ``topology.cycles``.
-
-    ``tol`` defaults to ``1e-10`` times each element's diameter.
-    """
-    v = _as_nodes(nodes)[topology.cycles]
-    prv, nxt = _cycle_shifts(topology.offsets)
-    if tol is None:
-        tol = np.repeat(HANGING_TOL_REL * topology.diameter, np.diff(topology.offsets))
+        tol = np.repeat(HANGING_TOL_REL * diameter, np.diff(offsets))
     return _midpoint_error(v, v[prv], v[nxt]) < tol
 
 
-def detect_hanging_nodes(element_index: int, nodes, elements, tol: float | None = None) -> np.ndarray:
-    """Per-vertex hanging flags for one element.
+def hanging_flags(nodes, topology: MeshTopology, tol: float | None = None) -> np.ndarray:
+    """Hanging-node flags of every element at once, aligned with ``topology.cycles``.
 
     A vertex counts as hanging when it lies within ``tol`` of the midpoint
-    of its two cycle neighbours; ``tol`` defaults to ``1e-10`` times the
-    element diameter.
+    of its two cycle neighbours; ``tol`` defaults to ``1e-10`` times each
+    element's diameter.
     """
+    return _midpoint_flags(_as_nodes(nodes), topology.offsets, topology.cycles,
+                           topology.diameter, tol)
+
+
+def detect_hanging_nodes(element_index: int, nodes, elements, tol: float | None = None) -> np.ndarray:
+    """Per-vertex hanging flags for one element, by the test of ``hanging_flags``."""
     nodes = _as_nodes(nodes)
-    return hanging_mask(nodes[np.asarray(elements[element_index], dtype=np.int64)], tol)
+    offsets, cycle = _cycle_arrays([elements[element_index]])
+    _, _, diameter = _polygon_tables(nodes, offsets, cycle)
+    return _midpoint_flags(nodes, offsets, cycle, diameter, tol)
 
 
 _PAIR_CACHE: dict = {}
@@ -399,17 +394,13 @@ def _duplicate_node_pairs(nodes, tol):
             keys = np.floor((nodes + [sx, sy]) / cell).astype(np.int64)
             order = np.lexsort((keys[:, 1], keys[:, 0]))
             ks = keys[order]
-            same = np.all(ks[1:] == ks[:-1], axis=1)
-            start = 0
-            for brk in np.append(np.flatnonzero(~same) + 1, n):
-                group = order[start:brk]
-                if len(group) > 1:
-                    for a in range(len(group)):
-                        for b in range(a + 1, len(group)):
-                            i, j = sorted((int(group[a]), int(group[b])))
-                            if np.linalg.norm(nodes[i] - nodes[j]) < tol:
-                                found.add((i, j))
-                start = brk
+            starts = np.flatnonzero(np.r_[True, np.any(ks[1:] != ks[:-1], axis=1)])
+            stops = np.r_[starts[1:], n]
+            shared = stops - starts > 1
+            for start, stop in zip(starts[shared].tolist(), stops[shared].tolist()):
+                for i, j in combinations(sorted(order[start:stop].tolist()), 2):
+                    if np.linalg.norm(nodes[i] - nodes[j]) < tol:
+                        found.add((i, j))
     return sorted(found)
 
 
@@ -437,56 +428,51 @@ def validate_mesh(nodes, elements) -> ValidationReport:
         tol = 1e-12 * bbox_diag if bbox_diag > 0 else 1e-300
         for i, j in _duplicate_node_pairs(nodes, tol):
             out.append(Violation("duplicate-nodes", (i, j), "nodes coincide"))
+    if len(elements) == 0:
+        out.append(Violation("element-table", None, "element table is empty"))
 
-    N = len(nodes)
-    geometric = []
-    for i, cyc in enumerate(elements):
-        cyc = list(cyc)
-        if len(cyc) < 3:
-            out.append(Violation("too-few-vertices", i, f"cycle has {len(cyc)} vertices"))
-            continue
-        if any((not isinstance(v, (int, np.integer))) or v < 0 or v >= N for v in cyc):
-            out.append(Violation("invalid-index", i, "vertex index out of range"))
-            continue
-        if len(set(cyc)) != len(cyc):
-            out.append(Violation("repeated-vertex", i, "cycle revisits a vertex"))
-            continue
-        geometric.append(i)
+    # structural checks on the flat cycle arrays; integer entries are
+    # clamped to [-1, N] as Python objects, so that no index overflows int64
+    N, NT = len(nodes), len(elements)
+    lengths = np.fromiter(map(len, elements), dtype=np.int64, count=NT)
+    owner = _cycle_owners(np.r_[0, np.cumsum(lengths)])
+    flat = list(chain.from_iterable(elements))
+    is_int = np.fromiter(map(isinstance, flat, repeat((int, np.integer))), dtype=bool, count=len(flat))
+    conc = np.full(len(flat), -1, dtype=np.int64)
+    conc[is_int] = np.clip(np.array(list(compress(flat, is_int)), dtype=object), -1, N)
+    few = lengths < 3
+    invalid = ~few & (np.bincount(owner[(conc < 0) | (conc >= N)], minlength=NT) > 0)
+    rest = ~(few | invalid)[owner]
+    key = np.sort(owner[rest] * N + conc[rest])
+    repeated = np.bincount(key[1:][key[1:] == key[:-1]] // N, minlength=NT) > 0
+    for i in np.flatnonzero(few):
+        out.append(Violation("too-few-vertices", int(i), f"cycle has {int(lengths[i])} vertices"))
 
-    lengths = np.array([len(elements[i]) for i in geometric], dtype=np.int64)
-    for L in np.unique(lengths):
-        idx = np.array(geometric, dtype=np.int64)[lengths == L]
-        V = nodes[np.array([elements[i] for i in idx], dtype=np.int64)]
-        w = np.roll(V, -1, axis=1)
-        sa = 0.5 * np.sum(V[..., 0] * w[..., 1] - w[..., 0] * V[..., 1], axis=1)
-        diff = V[:, :, None, :] - V[:, None, :, :]
-        diam = np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(1, 2)))
-        live = np.ones(len(idx), dtype=bool)
+    # geometric checks on the elements that passed, in the same flat layout
+    passed = ~(few | invalid | repeated)
+    geometric = np.flatnonzero(passed)
+    goffsets = np.r_[0, np.cumsum(lengths[geometric])]
+    gcycles = conc[passed[owner]]
+    area, centroid, diam = _polygon_tables(nodes, goffsets, gcycles)
+    degenerate = _degenerate(area, diam)
+    clockwise = ~degenerate & (area < 0)
+    live = ~degenerate & ~clockwise
+    tangled = np.zeros(len(geometric), dtype=bool)
+    for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(live)):
+        tangled[idx] = ~_simple_flags(nodes[cyc], diam[idx])
+    outside = np.zeros(len(geometric), dtype=bool)
+    for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(live & ~tangled)):
+        outside[idx] = ~_inside_flags(nodes[cyc], diam[idx], centroid[idx])
 
-        degenerate = np.abs(sa) < 1e-14 * diam * diam
-        for i in idx[degenerate]:
-            out.append(Violation("degenerate", int(i), "polygon area is numerically zero"))
-        live &= ~degenerate
-        clockwise = live & (sa < 0)
-        for i in idx[clockwise]:
-            out.append(Violation("orientation", int(i), "vertices are not counterclockwise"))
-        live &= ~clockwise
-        if not live.any():
-            continue
-        tangled = ~_simple_flags(V[live], diam[live])
-        for i in idx[live][tangled]:
-            out.append(Violation("self-intersection", int(i), "polygon is not simple"))
-        keep = live.copy()
-        keep[live] = ~tangled
-        if not keep.any():
-            continue
-        cr = (V[..., 0] * w[..., 1] - w[..., 0] * V[..., 1])[keep]
-        cen = np.stack(
-            [((V + w)[keep, :, 0] * cr).sum(1), ((V + w)[keep, :, 1] * cr).sum(1)], axis=1
-        ) / (6.0 * sa[keep])[:, None]
-        outside = ~_inside_flags(V[keep], diam[keep], cen)
-        for i in idx[keep][outside]:
-            out.append(Violation("centroid-not-interior", int(i), "centroid is not strictly inside"))
+    for kind, elems, detail in (
+        ("invalid-index", np.flatnonzero(invalid), "vertex index out of range"),
+        ("repeated-vertex", np.flatnonzero(repeated), "cycle revisits a vertex"),
+        ("degenerate", geometric[degenerate], "polygon area is numerically zero"),
+        ("orientation", geometric[clockwise], "vertices are not counterclockwise"),
+        ("self-intersection", geometric[tangled], "polygon is not simple"),
+        ("centroid-not-interior", geometric[outside], "centroid is not strictly inside"),
+    ):
+        out.extend(Violation(kind, int(i), detail) for i in elems)
 
     out.sort(key=lambda v: (v.where if isinstance(v.where, int) else -1, v.kind))
     return ValidationReport(out)

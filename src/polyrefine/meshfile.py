@@ -57,8 +57,8 @@ def read_mesh_file(path):
     head = take(FORMAT_NAME)
     if len(head) != 1 or head[0] != str(FORMAT_VERSION):
         raise MeshParseError(f"unsupported format version {head}")
-    (n,) = take("nodes")
     try:
+        (n,) = take("nodes")
         n = int(n)
         nodes = np.empty((n, 2))
         for i in range(n):

@@ -41,6 +41,9 @@ class CentroidNotInteriorError(MeshError):
 
 
 def _canonical_marked(marked, num_elements: int) -> list:
+    marked = list(marked)
+    if not all(isinstance(i, (int, np.integer)) for i in marked):
+        raise InvalidIndexError("marked element indices must be integers")
     out = sorted({int(i) for i in marked})
     if out and (out[0] < 0 or out[-1] >= num_elements):
         raise InvalidIndexError("marked element index out of range")

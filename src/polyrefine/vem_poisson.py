@@ -17,7 +17,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh_core import MeshError, MeshTopology, _as_nodes, _length_groups, element_diameter
+from .mesh_core import (
+    MeshError,
+    MeshTopology,
+    _as_nodes,
+    _length_groups,
+    _polygon_tables,
+    _single_cycle,
+)
 
 
 class SingularProjectionError(MeshError):
@@ -62,10 +69,9 @@ def _batched_stiffness(V: np.ndarray, area: np.ndarray, h: np.ndarray) -> np.nda
 
 def local_stiffness(vertices) -> np.ndarray:
     """Symmetric positive semidefinite local stiffness (kernel = constants)."""
-    V = np.asarray(vertices, dtype=float)
-    W = np.roll(V, -1, axis=0)
-    area = 0.5 * np.sum(V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1])
-    return _batched_stiffness(V[None], np.array([area]), np.array([element_diameter(V)]))[0]
+    V, offsets, cycle = _single_cycle(vertices)
+    area, _, diameter = _polygon_tables(V, offsets, cycle)
+    return _batched_stiffness(V[None], area, diameter)[0]
 
 
 def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:

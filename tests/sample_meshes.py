@@ -9,6 +9,17 @@ TRIANGLE_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TRIANGLE_ELEMS = [[0, 1, 2]]
 
 
+def local_edges(topo, i):
+    """Global edge index of each local edge of element ``i``."""
+    return topo.cycle_edges[topo.offsets[i]:topo.offsets[i + 1]]
+
+
+def across(topo, i):
+    """Element across each local edge of element ``i`` (itself across boundary edges)."""
+    pair = topo.edge2elem[local_edges(topo, i)]
+    return np.where(pair[:, 0] == i, pair[:, 1], pair[:, 0])
+
+
 def two_squares():
     """Two unit squares sharing the edge x = 1."""
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])

@@ -13,7 +13,7 @@ from polyrefine import (
 from polyrefine.cli import cli_main
 from polyrefine.meshfile import load_field, save_field
 
-from sample_meshes import SQUARE_ELEMS, SQUARE_NODES, cascade_mesh
+from sample_meshes import SQUARE_ELEMS, SQUARE_NODES, cascade_mesh, prismatic_pentagon_patch
 
 
 def write_square(path):
@@ -64,6 +64,21 @@ class TestMeshFile:
             load_mesh(p)
         p.write_text("polymesh 99\nnodes 0\nelements 0\n")
         with pytest.raises(MeshParseError):
+            load_mesh(p)
+
+    @pytest.mark.parametrize("line", ["nodes", "nodes 1 2"])
+    def test_nodes_line_needs_one_count(self, tmp_path, capsys, line):
+        p = tmp_path / "bad.mesh"
+        p.write_text(f"polymesh 1\n{line}\n")
+        with pytest.raises(MeshParseError):
+            load_mesh(p)
+        assert cli_main(["quality", "--in", str(p)]) == 1
+        assert "parse error:" in capsys.readouterr().err
+
+    def test_empty_element_table_rejected(self, tmp_path):
+        p = tmp_path / "empty.mesh"
+        save_mesh(SQUARE_NODES, [], p)
+        with pytest.raises(MeshValidationError, match="element table is empty"):
             load_mesh(p)
 
     def test_field_roundtrip(self, tmp_path):
@@ -152,6 +167,27 @@ class TestCli:
         save_mesh(nodes, elems, p)
         assert cli_main(["quality", "--in", str(p)]) == 0
         assert "hanging nodes: 2" in capsys.readouterr().out
+
+    def test_quality_empty_element_table(self, tmp_path, capsys):
+        p = tmp_path / "empty.mesh"
+        save_mesh(SQUARE_NODES, [], p)
+        assert cli_main(["quality", "--in", str(p)]) == 1
+        assert "element-table at None: element table is empty" in capsys.readouterr().out
+
+    def test_quality_output_bytes(self, tmp_path, capsys):
+        # refined twice, so the mesh has hanging nodes and irregular ratios
+        nodes, elems = prismatic_pentagon_patch()
+        nodes, elems = refine(nodes, elems, [0, 2])
+        nodes, elems = refine(nodes, elems, [1, 4, 7])
+        p = tmp_path / "q.mesh"
+        save_mesh(nodes, elems, p)
+        assert cli_main(["quality", "--in", str(p)]) == 0
+        assert capsys.readouterr().out == (
+            "0 violations\n"
+            "nodes 38, elements 26, edges 63\n"
+            "hanging nodes: 4\n"
+            "edge/diameter ratio: min 0.286356 max 0.915181\n"
+        )
 
     def test_render_command(self, tmp_path):
         src = write_square(tmp_path / "in.mesh")

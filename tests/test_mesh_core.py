@@ -21,14 +21,24 @@ from polyrefine import (
     structured_quad_mesh,
     validate_mesh,
 )
-from polyrefine.mesh_core import hanging_mask
+from polyrefine.mesh_core import (
+    ValidationReport,
+    Violation,
+    _duplicate_node_pairs,
+    _inside_flags,
+    _simple_flags,
+)
 
 from sample_meshes import (
     SQUARE_ELEMS,
     SQUARE_NODES,
+    across,
+    base_mesh_pool,
     double_hang_mesh,
     hexagon_patch,
+    horseshoe_mesh,
     invisible_hang_mesh,
+    local_edges,
     pentagon_pair,
     two_squares,
 )
@@ -64,7 +74,7 @@ class TestBuildTopology:
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
         assert topo.num_edges == 4
         assert np.all(topo.edge2elem == 0)
-        assert list(topo.neighbor[0]) == [0, 0, 0, 0]
+        assert list(across(topo, 0)) == [0, 0, 0, 0]
         assert topo.diameter[0] == pytest.approx(np.sqrt(2.0))
         assert topo.centroid[0] == pytest.approx([0.5, 0.5])
 
@@ -74,8 +84,8 @@ class TestBuildTopology:
         assert topo.num_edges == 7
         interior = topo.edge2elem[:, 0] != topo.edge2elem[:, 1]
         assert interior.sum() == 1
-        assert list(topo.neighbor[0]).count(1) == 1
-        assert list(topo.neighbor[1]).count(0) == 1
+        assert list(across(topo, 0)).count(1) == 1
+        assert list(across(topo, 1)).count(0) == 1
 
     def test_grid_3x3_against_pair_counting_oracle(self):
         nodes, elems = structured_quad_mesh(3)
@@ -96,13 +106,13 @@ class TestBuildTopology:
         assert np.all(topo.edge[:, 0] < topo.edge[:, 1])
         assert np.all(np.diff(topo.edge[:, 0] * len(nodes) + topo.edge[:, 1]) > 0)
 
-    def test_elem2edge_resolves_vertex_pairs(self):
+    def test_cycle_edges_resolve_vertex_pairs(self):
         nodes, elems = structured_quad_mesh(3)
         topo = build_topology(nodes, elems)
         for i, cyc in enumerate(elems):
             for j in range(len(cyc)):
                 pair = {cyc[j], cyc[(j + 1) % len(cyc)]}
-                assert set(topo.edge[topo.elem2edge[i][j]]) == pair
+                assert set(topo.edge[local_edges(topo, i)[j]]) == pair
 
     def test_interior_edges_mutually_listed(self):
         nodes, elems = structured_quad_mesh(3)
@@ -110,8 +120,8 @@ class TestBuildTopology:
         for k in np.flatnonzero(~topo.boundary_edge_mask()):
             a, b = topo.edge2elem[k]
             assert a != b
-            assert b in topo.neighbor[a]
-            assert a in topo.neighbor[b]
+            assert b in across(topo, a)
+            assert a in across(topo, b)
 
     def test_deterministic(self):
         nodes, elems = structured_quad_mesh(4)
@@ -119,7 +129,7 @@ class TestBuildTopology:
         t2 = build_topology(nodes, elems)
         assert np.array_equal(t1.edge, t2.edge)
         assert np.array_equal(t1.edge2elem, t2.edge2elem)
-        assert all(np.array_equal(a, b) for a, b in zip(t1.elem2edge, t2.elem2edge))
+        assert np.array_equal(t1.cycle_edges, t2.cycle_edges)
         assert np.array_equal(t1.centroid, t2.centroid)
 
     def test_invalid_index(self):
@@ -174,6 +184,24 @@ class TestPolygonGeometry:
         rect = [(0, 0), (1, 0), (1, 0.01), (0, 0.01)]
         assert element_diameter(rect) == pytest.approx(np.sqrt(1.0001))
 
+    def test_diameter_triangle_is_a_side(self):
+        assert element_diameter([(0, 0), (3, 0), (0, 4)]) == 5.0
+
+    def test_degeneracy_bound_is_shared(self):
+        # |area| < 1e-14 h^2 is degenerate for every caller of the geometry kernel
+        for eps, degenerate in ((5e-15, True), (2e-14, False)):
+            rect = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, eps], [0.0, eps]])
+            kinds = [v.kind for v in validate_mesh(rect, SQUARE_ELEMS).violations]
+            assert ("degenerate" in kinds) == degenerate
+            for call in (lambda: polygon_area(rect), lambda: polygon_centroid(rect),
+                         lambda: mesh_area(rect, SQUARE_ELEMS),
+                         lambda: build_topology(rect, SQUARE_ELEMS)):
+                if degenerate:
+                    with pytest.raises(DegeneratePolygonError):
+                        call()
+                else:
+                    call()
+
     def test_diameter_octagon_all_pairs_oracle(self):
         rng = np.random.default_rng(42)
         pts, _ = star_shaped(rng.uniform(-1, 1, size=(8, 2)))
@@ -181,6 +209,22 @@ class TestPolygonGeometry:
             np.linalg.norm(pts[i] - pts[j]) for i, j in itertools.combinations(range(8), 2)
         )
         assert element_diameter(pts) == pytest.approx(oracle, rel=0, abs=0)
+
+    def test_scalar_helpers_equal_topology_tables(self):
+        rng = np.random.default_rng(5)
+        for nodes, elems in base_mesh_pool():
+            nodes, elems = refine(nodes, elems, rng.choice(len(elems), 3, replace=False))
+            topo = build_topology(nodes, elems)
+            for i, cyc in enumerate(elems):
+                v = nodes[np.asarray(cyc)]
+                assert polygon_area(v) == abs(topo.area[i])
+                assert np.array_equal(polygon_centroid(v), topo.centroid[i])
+                assert element_diameter(v) == topo.diameter[i]
+
+    def test_mesh_area_degenerate_raises(self):
+        nodes = np.vstack([SQUARE_NODES, [[2.0, 0.0], [3.0, 0.0]]])
+        with pytest.raises(DegeneratePolygonError, match="element 1"):
+            mesh_area(nodes, [[0, 1, 2, 3], [1, 4, 5]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=4, max_size=10))
@@ -223,7 +267,7 @@ class TestHangingNodes:
         rot = detect_hanging_nodes(0, nodes, [rotated])
         assert list(rot) == list(np.roll(base, -shift))
 
-    def test_hanging_mask_matches_definition(self):
+    def test_detect_hanging_nodes_matches_definition(self):
         nodes, elems = pentagon_pair()
         for i in range(len(elems)):
             verts = nodes[np.asarray(elems[i])]
@@ -231,7 +275,32 @@ class TestHangingNodes:
                 verts - 0.5 * (np.roll(verts, 1, axis=0) + np.roll(verts, -1, axis=0)), axis=1
             )
             tol = 1e-10 * element_diameter(verts)
-            assert list(hanging_mask(verts)) == list(err < tol)
+            assert list(detect_hanging_nodes(i, nodes, elems)) == list(err < tol)
+
+
+def malformed_meshes():
+    sq = SQUARE_NODES
+    bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    crossed = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
+    nan = sq.copy()
+    nan[2, 1] = np.nan
+    yield pytest.param(sq, [[0, 1]], id="too-few")
+    yield pytest.param(sq, [[0, 1, 9, 2]], id="out-of-range")
+    yield pytest.param(sq, [[0, 1, -1, 2]], id="negative")
+    yield pytest.param(sq, [[0, 1, 2.0, 3]], id="float")
+    yield pytest.param(sq, [[0, 1, 2, 10**30], [0, 1, -(10**30), 3]], id="huge")
+    yield pytest.param(sq, [[0, 1, 1, 2]], id="repeated")
+    yield pytest.param(sq, [[0, 3, 2, 1]], id="clockwise")
+    yield pytest.param(bowtie, [[0, 1, 2, 3]], id="bowtie")
+    yield pytest.param(crossed, [[0, 1, 2, 3]], id="self-intersecting")
+    yield pytest.param(*horseshoe_mesh(), id="horseshoe")
+    yield pytest.param(np.vstack([sq, [1e-16, 0.0]]), [[0, 1, 2, 3]], id="duplicate-nodes")
+    yield pytest.param(nan, SQUARE_ELEMS, id="nan-node")
+    yield pytest.param(np.zeros(3), SQUARE_ELEMS, id="node-table")
+    mixed = np.vstack([sq, [[2.0, 0.0], [2.0, 1.0], [1e-16, 0.0]]])
+    yield pytest.param(mixed, [[0, 1], [1, 4, 5, 2], [0, 3, 2, 1], [1, 4, 4, 2], [0, 1, 2, 9],
+                               [0.5, 1, 2], [1, 4, 5, 2, 3, 0], np.array([0, 1, 2, 3]), [0, 9],
+                               [5, 5, 5], [6, 1, 2, 3]], id="mixed")
 
 
 class TestValidateMesh:
@@ -274,6 +343,139 @@ class TestValidateMesh:
         report = validate_mesh(SQUARE_NODES, [[0, 1, 9, 2], [0, 1, 1, 2], [0, 1]])
         kinds = {v.kind for v in report.violations}
         assert kinds == {"invalid-index", "repeated-vertex", "too-few-vertices"}
+
+    def test_empty_element_table(self):
+        report = validate_mesh(SQUARE_NODES, [])
+        assert [(v.kind, v.where) for v in report.violations] == [("element-table", None)]
+
+    @pytest.mark.parametrize("nodes, elems", [
+        pytest.param(*mesh, id=f"pool{k}") for k, mesh in enumerate(base_mesh_pool())
+    ])
+    def test_matches_oracle_on_pool(self, nodes, elems):
+        assert validate_mesh(nodes, elems).violations == validate_mesh_oracle(nodes, elems).violations
+
+    def test_matches_oracle_on_refined_meshes(self):
+        rng = np.random.default_rng(11)
+        for nodes, elems in base_mesh_pool():
+            for _ in range(3):
+                marked = rng.choice(len(elems), max(1, len(elems) // 4), replace=False)
+                nodes, elems = refine(nodes, elems, marked)
+                report = validate_mesh(nodes, elems)
+                assert report.ok
+                assert report.violations == validate_mesh_oracle(nodes, elems).violations
+
+    @pytest.mark.parametrize("nodes, elems", malformed_meshes())
+    def test_matches_oracle_on_malformed_input(self, nodes, elems):
+        report = validate_mesh(nodes, elems)
+        assert not report.ok
+        assert report.violations == validate_mesh_oracle(nodes, elems).violations
+
+
+class TestDuplicateNodePairs:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_brute_force_on_planted_clouds(self, seed):
+        rng = np.random.default_rng(seed)
+        tol = 1e-3
+        nodes = rng.uniform(0.0, 0.05, size=(120, 2))
+        # near-duplicates inside and just outside the tolerance, and a triple
+        hosts = rng.choice(len(nodes), 12, replace=False)
+        dirs = rng.normal(size=(12, 2))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        scale = np.array([0.1, 0.5, 0.9, 0.99, 1.01, 1.5] * 2)[:, None] * tol
+        nodes = np.vstack([nodes, nodes[hosts] + scale * dirs, nodes[hosts[:1]] + 0.3 * tol])
+        pairs = _duplicate_node_pairs(nodes, tol)
+        assert pairs == brute_force_pairs(nodes, tol)
+        assert len(pairs) >= 8
+
+    def test_exact_duplicates_and_single_node(self):
+        nodes = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+        assert _duplicate_node_pairs(nodes, 1e-12) == [(0, 2), (0, 3), (2, 3)]
+        assert _duplicate_node_pairs(nodes[:1], 1e-12) == []
+
+
+def brute_force_pairs(nodes, tol):
+    """All index pairs closer than ``tol``, by the same distance computation."""
+    return [(i, j) for i in range(len(nodes)) for j in range(i + 1, len(nodes))
+            if np.linalg.norm(nodes[i] - nodes[j]) < tol]
+
+
+def validate_mesh_oracle(nodes, elements):
+    """Per-element structural checks and per-length geometry with its own
+    shoelace, diameter and centroid: the reference for ``validate_mesh``'s
+    report, its details and its order."""
+    out = []
+    try:
+        nodes = np.asarray(nodes, dtype=float)
+        if nodes.ndim != 2 or nodes.shape[1] != 2:
+            raise ValueError("node table must have shape (N, 2)")
+    except ValueError as exc:
+        return ValidationReport([Violation("node-table", None, str(exc))])
+
+    finite = np.isfinite(nodes).all(axis=1)
+    for i in np.flatnonzero(~finite):
+        out.append(Violation("nonfinite-node", int(i), "coordinate is nan or inf"))
+    if not finite.all():
+        return ValidationReport(out)
+
+    if len(nodes) >= 2:
+        span = nodes.max(axis=0) - nodes.min(axis=0)
+        bbox_diag = float(np.hypot(*span))
+        tol = 1e-12 * bbox_diag if bbox_diag > 0 else 1e-300
+        for i, j in _duplicate_node_pairs(nodes, tol):
+            out.append(Violation("duplicate-nodes", (i, j), "nodes coincide"))
+
+    N = len(nodes)
+    geometric = []
+    for i, cyc in enumerate(elements):
+        cyc = list(cyc)
+        if len(cyc) < 3:
+            out.append(Violation("too-few-vertices", i, f"cycle has {len(cyc)} vertices"))
+            continue
+        if any((not isinstance(v, (int, np.integer))) or v < 0 or v >= N for v in cyc):
+            out.append(Violation("invalid-index", i, "vertex index out of range"))
+            continue
+        if len(set(cyc)) != len(cyc):
+            out.append(Violation("repeated-vertex", i, "cycle revisits a vertex"))
+            continue
+        geometric.append(i)
+
+    lengths = np.array([len(elements[i]) for i in geometric], dtype=np.int64)
+    for L in np.unique(lengths):
+        idx = np.array(geometric, dtype=np.int64)[lengths == L]
+        V = nodes[np.array([elements[i] for i in idx], dtype=np.int64)]
+        w = np.roll(V, -1, axis=1)
+        sa = 0.5 * np.sum(V[..., 0] * w[..., 1] - w[..., 0] * V[..., 1], axis=1)
+        diff = V[:, :, None, :] - V[:, None, :, :]
+        diam = np.sqrt(np.max(np.sum(diff * diff, axis=-1), axis=(1, 2)))
+        live = np.ones(len(idx), dtype=bool)
+
+        degenerate = np.abs(sa) < 1e-14 * diam * diam
+        for i in idx[degenerate]:
+            out.append(Violation("degenerate", int(i), "polygon area is numerically zero"))
+        live &= ~degenerate
+        clockwise = live & (sa < 0)
+        for i in idx[clockwise]:
+            out.append(Violation("orientation", int(i), "vertices are not counterclockwise"))
+        live &= ~clockwise
+        if not live.any():
+            continue
+        tangled = ~_simple_flags(V[live], diam[live])
+        for i in idx[live][tangled]:
+            out.append(Violation("self-intersection", int(i), "polygon is not simple"))
+        keep = live.copy()
+        keep[live] = ~tangled
+        if not keep.any():
+            continue
+        cr = (V[..., 0] * w[..., 1] - w[..., 0] * V[..., 1])[keep]
+        cen = np.stack(
+            [((V + w)[keep, :, 0] * cr).sum(1), ((V + w)[keep, :, 1] * cr).sum(1)], axis=1
+        ) / (6.0 * sa[keep])[:, None]
+        outside = ~_inside_flags(V[keep], diam[keep], cen)
+        for i in idx[keep][outside]:
+            out.append(Violation("centroid-not-interior", int(i), "centroid is not strictly inside"))
+
+    out.sort(key=lambda v: (v.where if isinstance(v.where, int) else -1, v.kind))
+    return ValidationReport(out)
 
 
 class TestMeshAreaAndConformity:

@@ -22,8 +22,10 @@ from sample_meshes import (
     SQUARE_NODES,
     TRIANGLE_ELEMS,
     TRIANGLE_NODES,
+    across,
     cascade_mesh,
     horseshoe_mesh,
+    local_edges,
     square_and_hung_rectangle,
     two_squares,
 )
@@ -36,7 +38,7 @@ def brute_force_closure(nodes, elements, topo, marked):
     changed = True
     while changed:
         changed = False
-        edge_set = {int(e) for i in S for e in topo.elem2edge[i]}
+        edge_set = {int(e) for i in S for e in local_edges(topo, i)}
         for j in range(len(elements)):
             if j in S:
                 continue
@@ -46,8 +48,8 @@ def brute_force_closure(nodes, elements, topo, marked):
             n = len(mask)
             nontrivial = set()
             for k in np.flatnonzero(mask):
-                nontrivial.add(int(topo.elem2edge[j][(k - 1) % n]))
-                nontrivial.add(int(topo.elem2edge[j][k]))
+                nontrivial.add(int(local_edges(topo, j)[(k - 1) % n]))
+                nontrivial.add(int(local_edges(topo, j)[k]))
             if nontrivial & edge_set:
                 S.add(j)
                 changed = True
@@ -113,7 +115,7 @@ class TestSubdivide:
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
         nodes, cells = refine(SQUARE_NODES, SQUARE_ELEMS, [0])
         assert len(cells) == 4
-        e = [int(k) for k in topo.elem2edge[0]]
+        e = [int(k) for k in local_edges(topo, 0)]
         cen = 8
         # all four edges are cut: edge k's midpoint is node 4 + k
         for j, cell in enumerate(cells):
@@ -163,7 +165,7 @@ class TestCutEdges:
         oracle = set()
         for j in range(5):
             if not (mask[j] or mask[(j + 1) % 5]):
-                oracle.add(int(topo.elem2edge[0][j]))
+                oracle.add(int(local_edges(topo, 0)[j]))
         assert cut == oracle
         assert len(cut) == 1
 
@@ -187,7 +189,7 @@ class TestExtension:
         topo = build_topology(nodes, elems)
         refset = [0, 2]  # both neighbours of element 1
         cut = set(compute_cut_edges(nodes, elems, topo, refset))
-        in_row = sum(1 for e in topo.elem2edge[1] if e in cut)
+        in_row = sum(1 for e in local_edges(topo, 1) if e in cut)
         assert in_row == 2
         _, cells = refine(nodes, elems, refset)
         assert len(cells[1]) == len(elems[1]) + 2
@@ -338,6 +340,18 @@ class TestRefine:
         with pytest.raises(InvalidIndexError):
             refine(SQUARE_NODES, SQUARE_ELEMS, [5])
 
+    def test_non_integer_marks_rejected(self):
+        from polyrefine import InvalidIndexError
+
+        for marked in ([0.7], [1.0], np.array([0.0]), ["0"]):
+            with pytest.raises(InvalidIndexError):
+                refine(SQUARE_NODES, SQUARE_ELEMS, marked)
+        nodes, elems = structured_quad_mesh(3)
+        expected = refine(nodes, elems, [2, 4])
+        for marked in (np.array([4, 2]), np.array([2, 4], dtype=np.int32), (4, np.uint8(2))):
+            out = refine(nodes, elems, marked)
+            assert np.array_equal(out[0], expected[0]) and out[1] == expected[1]
+
     def test_simultaneous_host_and_neighbor_marking(self):
         """Marking an element with a hanging node together with the small
         neighbour across its nontrivial edge must stay conforming."""
@@ -348,7 +362,7 @@ class TestRefine:
         )
         topo = build_topology(nodes, elems)
         small = next(
-            int(j) for j in topo.neighbor[host]
+            int(j) for j in across(topo, host)
             if j != host and not detect_hanging_nodes(int(j), nodes, elems).any()
             and len(elems[int(j)]) == 4
         )
