@@ -23,7 +23,6 @@ from .mesh_core import (
     _cycle_shifts,
     build_topology,
     check_conformity,
-    hanging_flags,
     validate_mesh,
 )
 from .meshfile import (
@@ -113,7 +112,7 @@ def _cmd_quality(args) -> int:
     issues = check_conformity(nodes, elements, topology)
     for msg in issues:
         print(f"conformity: {msg}")
-    hanging = int(hanging_flags(nodes, topology).sum())
+    hanging = int(topology.hanging.sum())
     pts = nodes[topology.cycles]
     _, nxt = _cycle_shifts(topology.offsets)
     sides = np.linalg.norm(pts[nxt] - pts, axis=1)

@@ -54,25 +54,35 @@ def read_mesh_file(path):
             raise MeshParseError(f"line {pos}: expected '{expect}', got '{parts[0]}'")
         return parts[1:]
 
+    def block(expect: str):
+        """Line number of the header ``expect <count>`` and the ``count`` lines below it."""
+        nonlocal pos
+        head = take(expect)
+        try:
+            (n,) = map(int, head)
+        except ValueError as exc:
+            raise MeshParseError(f"line {pos}: '{expect}' needs one integer count") from exc
+        if not 0 <= n <= len(lines) - pos:
+            raise MeshParseError(f"line {pos}: {expect} count {n} is not in [0, {len(lines) - pos}]")
+        pos += n
+        return pos - n, lines[pos - n:pos]
+
     head = take(FORMAT_NAME)
     if len(head) != 1 or head[0] != str(FORMAT_VERSION):
         raise MeshParseError(f"unsupported format version {head}")
+    at, rows = block("nodes")
+    bad = next((k for k, row in enumerate(rows) if len(row.split()) != 2), None)
+    if bad is not None:
+        raise MeshParseError(f"line {at + 1 + bad}: a node needs 2 coordinates, got {len(rows[bad].split())}")
     try:
-        (n,) = take("nodes")
-        n = int(n)
-        nodes = np.empty((n, 2))
-        for i in range(n):
-            x, y = lines[pos].split()
-            nodes[i] = float(x), float(y)
-            pos += 1
-        (nt,) = take("elements")
-        nt = int(nt)
-        elements = []
-        for _ in range(nt):
-            elements.append([int(v) for v in lines[pos].split()])
-            pos += 1
-    except (ValueError, IndexError) as exc:
-        raise MeshParseError(f"line {pos + 1}: {exc}") from exc
+        nodes = np.array(" ".join(rows).split(), dtype=float).reshape(-1, 2)
+    except ValueError as exc:
+        raise MeshParseError(f"node block below line {at}: {exc}") from exc
+    at, rows = block("elements")
+    try:
+        elements = [list(map(int, row.split())) for row in rows]
+    except ValueError as exc:
+        raise MeshParseError(f"element block below line {at}: {exc}") from exc
     if pos != len(lines):
         raise MeshParseError(f"trailing content at line {pos + 1}")
     return nodes, elements

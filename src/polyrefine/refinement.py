@@ -32,7 +32,6 @@ from .mesh_core import (
     _inside_flags,
     _length_groups,
     build_topology,
-    hanging_flags,
 )
 
 
@@ -50,13 +49,13 @@ def _canonical_marked(marked, num_elements: int) -> list:
     return out
 
 
-def _nontrivial_edges(hang: np.ndarray, topology: MeshTopology) -> np.ndarray:
+def _nontrivial_edges(topology: MeshTopology) -> np.ndarray:
     """Flags for local edges with at least one hanging endpoint."""
     _, nxt = _cycle_shifts(topology.offsets)
-    return hang | hang[nxt]
+    return topology.hanging | topology.hanging[nxt]
 
 
-def closure_marked_set(nodes, elements, topology: MeshTopology, marked, tol: float | None = None) -> set:
+def closure_marked_set(nodes, elements, topology: MeshTopology, marked) -> set:
     """Additional elements that must be refined together with ``marked``.
 
     Starting from the marked set, any neighbour owning a nontrivial edge
@@ -64,10 +63,9 @@ def closure_marked_set(nodes, elements, topology: MeshTopology, marked, tol: flo
     refinement set is added, until the set stops growing.  Returns only the
     added elements.
     """
-    nodes = _as_nodes(nodes)
     marked = _canonical_marked(marked, len(elements))
     owner = _cycle_owners(topology.offsets)
-    nontrivial = _nontrivial_edges(hanging_flags(nodes, topology, tol), topology)
+    nontrivial = _nontrivial_edges(topology)
     cand_owner = owner[nontrivial]
     cand_edge = topology.cycle_edges[nontrivial]
 
@@ -83,13 +81,11 @@ def closure_marked_set(nodes, elements, topology: MeshTopology, marked, tol: flo
     return {int(i) for i in np.flatnonzero(in_set)} - set(marked)
 
 
-def compute_cut_edges(nodes, elements, topology: MeshTopology, refinement_set: Iterable,
-                      tol: float | None = None) -> np.ndarray:
+def compute_cut_edges(nodes, elements, topology: MeshTopology, refinement_set: Iterable) -> np.ndarray:
     """Trivial edges of the refinement set, i.e. the edges that get midpoints."""
-    nodes = _as_nodes(nodes)
     in_set = np.zeros(len(elements), dtype=bool)
     in_set[np.fromiter(refinement_set, dtype=np.int64)] = True
-    nontrivial = _nontrivial_edges(hanging_flags(nodes, topology, tol), topology)
+    nontrivial = _nontrivial_edges(topology)
     cut = np.zeros(topology.num_edges, dtype=bool)
     cut[topology.cycle_edges[in_set[_cycle_owners(topology.offsets)] & ~nontrivial]] = True
     return np.flatnonzero(cut)
@@ -104,8 +100,7 @@ def _check_centroids_interior(nodes, topology: MeshTopology, refset: np.ndarray)
         raise CentroidNotInteriorError(f"element {int(min(bad))}: centroid not interior")
 
 
-def refine(nodes, elements, marked, tol: float | None = None,
-           topology: MeshTopology | None = None):
+def refine(nodes, elements, marked, topology: MeshTopology | None = None):
     """Refine ``marked`` elements (plus closure) and return the new mesh.
 
     The output cycles again list every boundary node of every element, each
@@ -132,14 +127,14 @@ def refine(nodes, elements, marked, tol: float | None = None,
         return nodes.copy(), [list(map(int, c)) for c in elements]
     if topology is None:
         topology = build_topology(nodes, elements)
-    additional = sorted(closure_marked_set(nodes, elements, topology, marked, tol))
+    additional = sorted(closure_marked_set(nodes, elements, topology, marked))
     NT, N = len(elements), len(nodes)
     status = np.zeros(NT, dtype=np.int8)  # 0 unrefined, 1 closure-added, 2 marked
     status[additional] = 1
     status[marked] = 2
     refset = np.flatnonzero(status)
     _check_centroids_interior(nodes, topology, refset)
-    cut = compute_cut_edges(nodes, elements, topology, refset, tol)
+    cut = compute_cut_edges(nodes, elements, topology, refset)
 
     mid_id = np.full(topology.num_edges, -1, dtype=np.int64)
     mid_id[cut] = N + np.arange(len(cut))
@@ -151,8 +146,8 @@ def refine(nodes, elements, marked, tol: float | None = None,
     cyc = topology.cycles
     owner = _cycle_owners(topology.offsets)
     prv, nxt = _cycle_shifts(topology.offsets)
-    hang = hanging_flags(nodes, topology, tol)
-    nontrivial = hang | hang[nxt]
+    hang = topology.hanging
+    nontrivial = _nontrivial_edges(topology)
     refined = status[owner] > 0
     mid = mid_id[topology.cycle_edges]
     # midpoint inserted after the vertex at the start of each local edge (-1: none)

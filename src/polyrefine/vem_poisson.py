@@ -27,6 +27,10 @@ from .mesh_core import (
 )
 
 
+# relative residual ``|A u - b| / |b|`` above which a solve is rejected
+RESIDUAL_RTOL = 1e-10
+
+
 class SingularProjectionError(MeshError):
     """Element geometry too degenerate to build the local projection."""
 
@@ -105,7 +109,7 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
     return LinearSystem(A, b, bmask, nodes)
 
 
-def solve_dirichlet(system: LinearSystem, g, rtol: float = 1e-10) -> np.ndarray:
+def solve_dirichlet(system: LinearSystem, g) -> np.ndarray:
     """Solve with Dirichlet values ``g(x, y)`` on the boundary vertices.
 
     The reduced matrix is symmetric positive definite, so it is factored
@@ -127,7 +131,7 @@ def solve_dirichlet(system: LinearSystem, g, rtol: float = 1e-10) -> np.ndarray:
             raise SolverError(str(exc)) from exc
         uf = lu.solve(rhs)
         resid = np.linalg.norm(Aff @ uf - rhs)
-        if not np.isfinite(uf).all() or resid > rtol * max(np.linalg.norm(rhs), 1e-300):
+        if not np.isfinite(uf).all() or resid > RESIDUAL_RTOL * max(np.linalg.norm(rhs), 1e-300):
             raise SolverError(f"residual {resid:.3e} exceeds tolerance")
         u[free] = uf
     return u

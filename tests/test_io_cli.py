@@ -75,6 +75,22 @@ class TestMeshFile:
         assert cli_main(["quality", "--in", str(p)]) == 1
         assert "parse error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, where", [
+        pytest.param("polymesh 1\nnodes 100000000000\n0 0\n", "line 2: nodes count", id="huge-count"),
+        pytest.param("polymesh 1\nnodes -3\nelements 0\n", "line 2: nodes count", id="negative-count"),
+        pytest.param("polymesh 1\nnodes 3\n0 0\n1 0 7\n0 1\nelements 1\n0 1 2\n", "line 4: ",
+                     id="three-values"),
+        pytest.param("polymesh 1\nnodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2.0\n", "element block",
+                     id="non-integer-entry"),
+    ])
+    def test_malformed_blocks(self, tmp_path, capsys, text, where):
+        p = tmp_path / "bad.mesh"
+        p.write_text(text)
+        with pytest.raises(MeshParseError, match=where):
+            load_mesh(p)
+        assert cli_main(["quality", "--in", str(p)]) == 1
+        assert "parse error:" in capsys.readouterr().err
+
     def test_empty_element_table_rejected(self, tmp_path):
         p = tmp_path / "empty.mesh"
         save_mesh(SQUARE_NODES, [], p)

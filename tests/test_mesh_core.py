@@ -278,6 +278,22 @@ class TestHangingNodes:
             assert list(detect_hanging_nodes(i, nodes, elems)) == list(err < tol)
 
 
+def test_topology_hanging_equals_detect_hanging_nodes():
+    rng = np.random.default_rng(5)
+    for nodes, elems in base_mesh_pool():
+        meshes = [(nodes, elems)]
+        for _ in range(3):
+            marked = rng.choice(len(elems), max(1, len(elems) // 4), replace=False)
+            nodes, elems = refine(nodes, elems, marked)
+            meshes.append((nodes, elems))
+        for nodes, elems in meshes:
+            per_element = [detect_hanging_nodes(i, nodes, elems) for i in range(len(elems))]
+            hanging = build_topology(nodes, elems).hanging
+            assert hanging.dtype == bool
+            assert np.array_equal(hanging, np.concatenate(per_element))
+        assert hanging.any()
+
+
 def malformed_meshes():
     sq = SQUARE_NODES
     bowtie = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
