@@ -48,6 +48,21 @@ def _parse_marked(text: str):
         raise MeshParseError(f"bad marked list '{text}': {exc}") from exc
 
 
+def _checked(convert, ok, what: str):
+    """argparse type: ``convert(text)``, rejected unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {what}, got '{text}'")
+        return value
+
+    return parse
+
+
 def _cmd_refine(args) -> int:
     nodes, elements = load_mesh(args.infile)
     if args.steps > 1:
@@ -142,14 +157,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--marked", help="comma-separated element indices")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_checked(int, lambda n: n >= 1, "an integer >= 1"), default=1)
     p.add_argument("--marks-file", help="one comma-separated marked list per step")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("adapt", help="adaptive Poisson loop on the peak problem")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--theta", type=float, default=0.4)
-    p.add_argument("--steps", type=int, default=30)
+    p.add_argument("--theta", type=_checked(float, lambda t: 0.0 < t <= 1.0, "a number in (0, 1]"),
+                   default=0.4)
+    p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, "an integer >= 0"), default=30)
     p.add_argument("--dof-cap", type=int, default=0, help="stop once the node count reaches this (0 = unlimited)")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_adapt)

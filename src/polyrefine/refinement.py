@@ -55,7 +55,7 @@ def _nontrivial_edges(topology: MeshTopology) -> np.ndarray:
     return topology.hanging | topology.hanging[nxt]
 
 
-def closure_marked_set(nodes, elements, topology: MeshTopology, marked) -> set:
+def closure_marked_set(topology: MeshTopology, marked) -> set:
     """Additional elements that must be refined together with ``marked``.
 
     Starting from the marked set, any neighbour owning a nontrivial edge
@@ -63,13 +63,14 @@ def closure_marked_set(nodes, elements, topology: MeshTopology, marked) -> set:
     refinement set is added, until the set stops growing.  Returns only the
     added elements.
     """
-    marked = _canonical_marked(marked, len(elements))
+    NT = len(topology.offsets) - 1
+    marked = _canonical_marked(marked, NT)
     owner = _cycle_owners(topology.offsets)
     nontrivial = _nontrivial_edges(topology)
     cand_owner = owner[nontrivial]
     cand_edge = topology.cycle_edges[nontrivial]
 
-    in_set = np.zeros(len(elements), dtype=bool)
+    in_set = np.zeros(NT, dtype=bool)
     in_set[marked] = True
     edge_in_set = np.zeros(topology.num_edges, dtype=bool)
     new = in_set.copy()
@@ -81,9 +82,9 @@ def closure_marked_set(nodes, elements, topology: MeshTopology, marked) -> set:
     return {int(i) for i in np.flatnonzero(in_set)} - set(marked)
 
 
-def compute_cut_edges(nodes, elements, topology: MeshTopology, refinement_set: Iterable) -> np.ndarray:
+def compute_cut_edges(topology: MeshTopology, refinement_set: Iterable) -> np.ndarray:
     """Trivial edges of the refinement set, i.e. the edges that get midpoints."""
-    in_set = np.zeros(len(elements), dtype=bool)
+    in_set = np.zeros(len(topology.offsets) - 1, dtype=bool)
     in_set[np.fromiter(refinement_set, dtype=np.int64)] = True
     nontrivial = _nontrivial_edges(topology)
     cut = np.zeros(topology.num_edges, dtype=bool)
@@ -127,14 +128,14 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
         return nodes.copy(), [list(map(int, c)) for c in elements]
     if topology is None:
         topology = build_topology(nodes, elements)
-    additional = sorted(closure_marked_set(nodes, elements, topology, marked))
+    additional = sorted(closure_marked_set(topology, marked))
     NT, N = len(elements), len(nodes)
     status = np.zeros(NT, dtype=np.int8)  # 0 unrefined, 1 closure-added, 2 marked
     status[additional] = 1
     status[marked] = 2
     refset = np.flatnonzero(status)
     _check_centroids_interior(nodes, topology, refset)
-    cut = compute_cut_edges(nodes, elements, topology, refset)
+    cut = compute_cut_edges(topology, refset)
 
     mid_id = np.full(topology.num_edges, -1, dtype=np.int64)
     mid_id[cut] = N + np.arange(len(cut))

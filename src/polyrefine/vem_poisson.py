@@ -6,7 +6,12 @@ vertex.  Stiffness matrices combine the exactly computable consistency part
 integrals only) with an identity-scaled stabilization of the projection
 remainder.  The load uses one-point centroid quadrature.  Dirichlet data is
 eliminated before the sparse direct solve, a symmetric-mode LU that orders
-and pivots the way a sparse Cholesky factorization would.
+and pivots the way a sparse Cholesky factorization would.  The free unknowns
+are numbered row by row (by ``y``, then ``x``) before the minimum-degree
+ordering: minimum degree breaks ties by input index, and on the numbering
+``refine`` produces (old nodes, then midpoints, then centroids) SuperLU
+factors the same matrix, at about the same fill, 1.4 to 30 times slower on
+adaptive meshes of 42k to 175k nodes.
 """
 
 from __future__ import annotations
@@ -113,14 +118,18 @@ def solve_dirichlet(system: LinearSystem, g) -> np.ndarray:
     """Solve with Dirichlet values ``g(x, y)`` on the boundary vertices.
 
     The reduced matrix is symmetric positive definite, so it is factored
-    with a minimum-degree ordering of ``A + A^T`` and diagonal pivots.
+    with a minimum-degree ordering of ``A + A^T`` and diagonal pivots.  Its
+    rows and columns are the free vertices sorted row by row by their
+    coordinates, so the factor, and the time it takes, do not depend on how
+    the mesh numbers its nodes.
     """
     bmask = system.boundary_mask
     u = np.zeros(len(system.rhs))
-    xb, yb = system.coords[bmask, 0], system.coords[bmask, 1]
-    u[bmask] = np.asarray(g(xb, yb), dtype=float)
-    free = ~bmask
-    if free.any():
+    x, y = system.coords[:, 0], system.coords[:, 1]
+    u[bmask] = np.asarray(g(x[bmask], y[bmask]), dtype=float)
+    order = np.lexsort((x, y))
+    free = order[~bmask[order]]
+    if len(free):
         Af = system.matrix[free]
         Aff = Af[:, free].tocsc()
         rhs = system.rhs[free] - Af[:, bmask] @ u[bmask]

@@ -100,7 +100,7 @@ def test_criterion_3_area_conservation(randomized_trials):
 def test_criterion_4_closure_matches_brute_force():
     nodes, elems = cascade_mesh()
     topo = build_topology(nodes, elems)
-    got = closure_marked_set(nodes, elems, topo, [0])
+    got = closure_marked_set(topo, [0])
     assert got == {5, 7}
     assert got == brute_force_closure(nodes, elems, topo, [0])
     print("PASS criterion 4: cascade closure({0}) == {5, 7} == brute force")

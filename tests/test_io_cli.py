@@ -270,3 +270,36 @@ class TestCli:
 
     def test_usage_error_is_nonzero(self):
         assert cli_main(["refine", "--in"]) != 0
+
+    @pytest.mark.parametrize("theta", ["1.5", "0", "-0.2", "nan", "abc"])
+    def test_adapt_theta_out_of_range_is_usage_error(self, tmp_path, capsys, theta):
+        src = tmp_path / "grid.mesh"
+        save_mesh(*structured_quad_mesh(4), src)
+        rc = cli_main(["adapt", "--in", str(src), "--theta", theta, "--steps", "1",
+                       "--out-prefix", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: polyrefine adapt") and "--theta" in err
+        assert not (tmp_path / "run.csv").exists()
+
+    def test_adapt_negative_steps_is_usage_error(self, tmp_path, capsys):
+        src = write_square(tmp_path / "in.mesh")
+        rc = cli_main(["adapt", "--in", src, "--steps", "-1", "--out-prefix", str(tmp_path / "run")])
+        assert rc == 2
+        assert "usage: polyrefine adapt" in capsys.readouterr().err
+
+    def test_adapt_zero_steps_solves_start_mesh(self, tmp_path):
+        src = write_square(tmp_path / "in.mesh")
+        rc = cli_main(["adapt", "--in", src, "--steps", "0", "--out-prefix", str(tmp_path / "run")])
+        assert rc == 0
+        assert (tmp_path / "run.csv").read_text() == "step,N,NT,total_eta,marked_count\n"
+
+    @pytest.mark.parametrize("steps", ["0", "-3", "two"])
+    def test_refine_steps_below_one_is_usage_error(self, tmp_path, capsys, steps):
+        src = write_square(tmp_path / "in.mesh")
+        out = tmp_path / "out.mesh"
+        rc = cli_main(["refine", "--in", src, "--marked", "0", "--steps", steps, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: polyrefine refine") and "--steps" in err
+        assert not out.exists()

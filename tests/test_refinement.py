@@ -71,26 +71,26 @@ def assert_healthy(nodes, elements, ref_area):
 class TestClosure:
     def test_isolated_square(self):
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
-        assert closure_marked_set(SQUARE_NODES, SQUARE_ELEMS, topo, [0]) == set()
+        assert closure_marked_set(topo, [0]) == set()
 
     def test_square_pulls_in_hung_rectangle(self):
         nodes, elems = square_and_hung_rectangle()
         topo = build_topology(nodes, elems)
         # hand execution: the rectangle's nontrivial edges meet A's edge set
-        assert closure_marked_set(nodes, elems, topo, [0]) == {2}
+        assert closure_marked_set(topo, [0]) == {2}
 
     def test_cascade_two_rounds(self):
         nodes, elems = cascade_mesh()
         topo = build_topology(nodes, elems)
         # hand execution: round one adds 5, round two adds 7
-        assert closure_marked_set(nodes, elems, topo, [0]) == {5, 7}
+        assert closure_marked_set(topo, [0]) == {5, 7}
 
     def test_against_brute_force_oracle(self):
         nodes, elems = cascade_mesh()
         topo = build_topology(nodes, elems)
         for marked in [[0], [1], [5], [0, 6], [2, 3]]:
             expected = brute_force_closure(nodes, elems, topo, marked)
-            assert closure_marked_set(nodes, elems, topo, marked) == expected
+            assert closure_marked_set(topo, marked) == expected
 
     def test_oracle_on_refined_meshes(self):
         rng = np.random.default_rng(7)
@@ -101,13 +101,13 @@ class TestClosure:
         for _ in range(10):
             marked = rng.choice(len(elems), rng.integers(1, 4), replace=False)
             expected = brute_force_closure(nodes, elems, topo, marked)
-            assert closure_marked_set(nodes, elems, topo, marked) == expected
+            assert closure_marked_set(topo, marked) == expected
 
     def test_idempotent(self):
         nodes, elems = cascade_mesh()
         topo = build_topology(nodes, elems)
-        add = closure_marked_set(nodes, elems, topo, [0])
-        assert closure_marked_set(nodes, elems, topo, sorted({0} | add)) == set()
+        add = closure_marked_set(topo, [0])
+        assert closure_marked_set(topo, sorted({0} | add)) == set()
 
 
 class TestSubdivide:
@@ -152,14 +152,14 @@ class TestSubdivide:
 class TestCutEdges:
     def test_isolated_square_all_cut(self):
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
-        cut = compute_cut_edges(SQUARE_NODES, SQUARE_ELEMS, topo, [0])
+        cut = compute_cut_edges(topo, [0])
         assert list(cut) == [0, 1, 2, 3]
 
     def test_pentagon_with_hanging_vertices_oracle(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
         elems = [[0, 1, 2, 3, 4]]
         topo = build_topology(nodes, elems)
-        cut = set(compute_cut_edges(nodes, elems, topo, [0]))
+        cut = set(compute_cut_edges(topo, [0]))
         # oracle: per-edge endpoint flags from the hanging mask
         mask = detect_hanging_nodes(0, nodes, elems)
         oracle = set()
@@ -171,7 +171,7 @@ class TestCutEdges:
 
     def test_empty_set(self):
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
-        assert len(compute_cut_edges(SQUARE_NODES, SQUARE_ELEMS, topo, [])) == 0
+        assert len(compute_cut_edges(topo, [])) == 0
 
 
 class TestExtension:
@@ -188,7 +188,7 @@ class TestExtension:
         nodes, elems = structured_quad_mesh(3)
         topo = build_topology(nodes, elems)
         refset = [0, 2]  # both neighbours of element 1
-        cut = set(compute_cut_edges(nodes, elems, topo, refset))
+        cut = set(compute_cut_edges(topo, refset))
         in_row = sum(1 for e in local_edges(topo, 1) if e in cut)
         assert in_row == 2
         _, cells = refine(nodes, elems, refset)
@@ -231,9 +231,9 @@ class TestPartitionAndAssemble:
     def test_plan_and_assemble_match_refine(self):
         nodes, elems = cascade_mesh()
         topo = build_topology(nodes, elems)
-        assert closure_marked_set(nodes, elems, topo, [0]) == {5, 7}
+        assert closure_marked_set(topo, [0]) == {5, 7}
         out_nodes, cells = refine(nodes, elems, [0])
-        cut = compute_cut_edges(nodes, elems, topo, [0, 5, 7])
+        cut = compute_cut_edges(topo, [0, 5, 7])
         cen = {i: len(nodes) + len(cut) + r for r, i in enumerate([0, 5, 7])}
         assert len(out_nodes) == len(nodes) + len(cut) + 3
         # slots of refined elements hold a subcell, the rest follow:

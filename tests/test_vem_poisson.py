@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import spsolve
 
+import polyrefine.vem_poisson as vem_poisson
 from polyrefine import (
     SingularProjectionError,
     SolverError,
+    adaptive_loop,
     assemble,
     build_topology,
     element_diameter,
@@ -19,6 +21,7 @@ from polyrefine import (
     solve_poisson,
     structured_quad_mesh,
 )
+from polyrefine.problems import gaussian_peak_problem
 
 from sample_meshes import (
     SQUARE_ELEMS,
@@ -323,3 +326,53 @@ class TestSolve:
         u = solve_dirichlet(system, g)
         b = system.boundary_mask
         assert u[b] == pytest.approx(g(nodes[b, 0], nodes[b, 1]))
+
+    def test_no_free_unknowns_returns_boundary_values(self):
+        nodes, elems = structured_quad_mesh(1)
+        system = assemble(nodes, elems, build_topology(nodes, elems), one)
+        assert system.boundary_mask.all()
+        g = lambda x, y: 1.0 + x - 3.0 * y
+        assert np.array_equal(solve_dirichlet(system, g), g(nodes[:, 0], nodes[:, 1]))
+
+    def test_one_free_unknown_affine_centre_exact(self):
+        nodes, elems = structured_quad_mesh(2)
+        system = assemble(nodes, elems, build_topology(nodes, elems), zero)
+        assert np.flatnonzero(~system.boundary_mask).tolist() == [4]
+        g = lambda x, y: 0.25 + 2.0 * x - 0.5 * y
+        u = solve_dirichlet(system, g)
+        assert nodes[4].tolist() == [0.5, 0.5]
+        assert u[4] == pytest.approx(g(0.5, 0.5), abs=1e-15)
+
+
+def test_factorization_independent_of_node_numbering(monkeypatch):
+    """A relabelled mesh hands SuperLU the same matrix and gets the same solution."""
+    u_exact, f = gaussian_peak_problem()
+    run = adaptive_loop(*structured_quad_mesh(8), f, u_exact, dof_cap=5000)
+    nodes, elems = run.nodes, run.elements
+    assert len(nodes) >= 5000
+    assert build_topology(nodes, elems).hanging.any()
+
+    perm = np.random.default_rng(11).permutation(len(nodes))  # old index -> new index
+    relabelled = np.empty_like(nodes)
+    relabelled[perm] = nodes
+    relabelled_elems = [perm[np.asarray(c)].tolist() for c in elems]
+
+    factored = []
+    real_splu = vem_poisson.splu
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A.copy())
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(vem_poisson, "splu", recording_splu)
+    solutions = []
+    for nds, els in [(nodes, elems), (relabelled, relabelled_elems)]:
+        system = assemble(nds, els, build_topology(nds, els), f)
+        solutions.append(solve_dirichlet(system, u_exact))
+
+    A, B = factored
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.abs(A.data - B.data).max() <= 1e-14 * np.abs(A.data).max()
+    u, v = solutions[0], solutions[1][perm]
+    assert np.abs(u - v).max() <= 1e-13 * np.abs(u).max()
