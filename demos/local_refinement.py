@@ -12,7 +12,6 @@ import numpy as np
 from polyrefine import (
     build_topology,
     check_conformity,
-    detect_hanging_nodes,
     mesh_area,
     refine,
     render_svg,
@@ -35,7 +34,7 @@ for k in range(1, 6):
     marked = order[:2]
     nodes, elements = refine(nodes, elements, marked)
 
-    hanging = sum(int(detect_hanging_nodes(i, nodes, elements).sum()) for i in range(len(elements)))
+    hanging = int(build_topology(nodes, elements).hanging.sum())
     assert validate_mesh(nodes, elements).ok
     assert check_conformity(nodes, elements) == []
     print(

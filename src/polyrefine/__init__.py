@@ -12,11 +12,7 @@ from .mesh_core import (
     ValidationReport,
     build_topology,
     check_conformity,
-    detect_hanging_nodes,
-    element_diameter,
     mesh_area,
-    polygon_area,
-    polygon_centroid,
     structured_quad_mesh,
     validate_mesh,
 )
@@ -26,9 +22,7 @@ from .vem_poisson import (
     SingularProjectionError,
     SolverError,
     assemble,
-    local_stiffness,
     solve_dirichlet,
-    solve_poisson,
 )
 from .adaptivity import AdaptiveRun, StepRecord, adaptive_loop, dorfler_mark, estimate, total_indicator
 from .meshfile import MeshParseError, MeshValidationError, load_mesh, save_mesh
@@ -59,21 +53,15 @@ __all__ = [
     "check_conformity",
     "closure_marked_set",
     "compute_cut_edges",
-    "detect_hanging_nodes",
     "dorfler_mark",
-    "element_diameter",
     "estimate",
     "gaussian_peak_problem",
     "load_mesh",
-    "local_stiffness",
     "mesh_area",
-    "polygon_area",
-    "polygon_centroid",
     "refine",
     "render_svg",
     "save_mesh",
     "solve_dirichlet",
-    "solve_poisson",
     "structured_quad_mesh",
     "total_indicator",
     "validate_mesh",

@@ -103,7 +103,7 @@ def _cmd_adapt(args) -> int:
     run = adaptive_loop(
         nodes, elements, f, u_exact,
         theta=args.theta, max_steps=args.steps,
-        dof_cap=args.dof_cap if args.dof_cap > 0 else None,
+        dof_cap=args.dof_cap or None,
         on_step=on_step,
     )
     with open(f"{prefix}.csv", "w", encoding="utf-8") as fh:
@@ -165,8 +165,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--theta", type=_checked(float, lambda t: 0.0 < t <= 1.0, "a number in (0, 1]"),
                    default=0.4)
-    p.add_argument("--steps", type=_checked(int, lambda n: n >= 0, "an integer >= 0"), default=30)
-    p.add_argument("--dof-cap", type=int, default=0, help="stop once the node count reaches this (0 = unlimited)")
+    count = _checked(int, lambda n: n >= 0, "an integer >= 0")
+    p.add_argument("--steps", type=count, default=30)
+    p.add_argument("--dof-cap", type=count, default=0,
+                   help="stop once the node count reaches this (0 = unlimited)")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=_cmd_adapt)
 

@@ -125,8 +125,15 @@ def _as_nodes(nodes) -> np.ndarray:
 
 
 def _cycle_arrays(elements):
-    """Cycle offsets and concatenated cycles of an element list."""
-    offsets = np.r_[0, np.cumsum(np.fromiter(map(len, elements), dtype=np.int64, count=len(elements)))]
+    """Cycle offsets and concatenated cycles of an element list.
+
+    Raises ``DegeneratePolygonError`` for the first cycle with fewer than 3 vertices.
+    """
+    lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
+    short = np.flatnonzero(lengths < 3)
+    if short.size:
+        raise DegeneratePolygonError(f"element {int(short[0])} has {int(lengths[short[0]])} vertices")
+    offsets = np.r_[0, np.cumsum(lengths)]
     conc = np.fromiter(chain.from_iterable(elements), dtype=np.int64, count=int(offsets[-1]))
     return offsets, conc
 
@@ -200,32 +207,6 @@ def _checked_tables(nodes, offsets, cycles):
     return area, centroid, diameter
 
 
-def _single_cycle(vertices):
-    """Node table, offsets and cycle of one polygon given by its vertex coordinates."""
-    v = _as_nodes(vertices)
-    return v, np.array([0, len(v)]), np.arange(len(v))
-
-
-def polygon_area(vertices) -> float:
-    """Unsigned polygon area by the shoelace formula."""
-    if len(vertices) < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    area, _, _ = _checked_tables(*_single_cycle(vertices))
-    return float(abs(area[0]))
-
-
-def polygon_centroid(vertices) -> np.ndarray:
-    """Area-weighted centroid of a simple polygon."""
-    _, centroid, _ = _checked_tables(*_single_cycle(vertices))
-    return centroid[0]
-
-
-def element_diameter(vertices) -> float:
-    """Maximum pairwise vertex distance."""
-    _, _, diameter = _polygon_tables(*_single_cycle(vertices))
-    return float(diameter[0])
-
-
 def mesh_area(nodes, elements) -> float:
     """Total unsigned area of all elements."""
     area, _, _ = _checked_tables(_as_nodes(nodes), *_cycle_arrays(elements))
@@ -242,7 +223,7 @@ def build_topology(nodes, elements) -> MeshTopology:
     NonManifoldEdgeError
         If an edge is shared by more than two elements.
     DegeneratePolygonError
-        If an element has numerically zero area.
+        If an element has fewer than 3 vertices or numerically zero area.
     TooDenseError
         If the smallest element diameter falls below ``4 * machine eps``.
     """
@@ -251,7 +232,7 @@ def build_topology(nodes, elements) -> MeshTopology:
     if NT == 0:
         raise ValueError("element table is empty")
     offsets, conc = _cycle_arrays(elements)
-    if conc.size == 0 or conc.min() < 0 or conc.max() >= len(nodes):
+    if conc.min() < 0 or conc.max() >= len(nodes):
         raise InvalidIndexError("element vertex index out of range")
 
     # edge (a, b) with a < b as the key a * N + b, which sorts lexicographically
@@ -273,7 +254,10 @@ def build_topology(nodes, elements) -> MeshTopology:
     area, centroid, diameter = _checked_tables(nodes, offsets, conc)
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
-    hanging = _midpoint_flags(nodes, offsets, conc, diameter, prv, nxt)
+    # the one hanging-node test: within HANGING_TOL_REL diameters of the neighbours' midpoint
+    v = nodes[conc]
+    tol = np.repeat(HANGING_TOL_REL * diameter, np.diff(offsets))
+    hanging = _midpoint_error(v, v[prv], v[nxt]) < tol
     return MeshTopology(edge, edge2elem, area, centroid, diameter, offsets, conc, inv, hanging)
 
 
@@ -281,22 +265,6 @@ def _midpoint_error(v, prev, nxt) -> np.ndarray:
     # the bits of np.linalg.norm(d, axis=1), in half its time
     d = v - 0.5 * (prev + nxt)
     return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
-
-
-def _midpoint_flags(nodes, offsets, cycles, diameter, prv, nxt) -> np.ndarray:
-    """Flags, per flat cycle position, for vertices within ``HANGING_TOL_REL``
-    times their element's diameter of the midpoint of their cycle neighbours."""
-    v = nodes[cycles]
-    tol = np.repeat(HANGING_TOL_REL * diameter, np.diff(offsets))
-    return _midpoint_error(v, v[prv], v[nxt]) < tol
-
-
-def detect_hanging_nodes(element_index: int, nodes, elements) -> np.ndarray:
-    """Per-vertex hanging flags for one element, by the test of ``MeshTopology.hanging``."""
-    nodes = _as_nodes(nodes)
-    offsets, cycle = _cycle_arrays([elements[element_index]])
-    _, _, diameter = _polygon_tables(nodes, offsets, cycle)
-    return _midpoint_flags(nodes, offsets, cycle, diameter, *_cycle_shifts(offsets))
 
 
 def _simple_flags(V: np.ndarray, diam: np.ndarray) -> np.ndarray:
@@ -439,6 +407,12 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     geometric = np.flatnonzero(passed)
     goffsets = np.r_[0, np.cumsum(lengths[geometric])]
     gcycles = conc[passed[owner]]
+    # edges of more than two of them, keyed a * N + b (a < b) as in build_topology
+    a, b = gcycles, gcycles[_cycle_shifts(goffsets)[1]]
+    keys, counts = np.unique(np.minimum(a, b) * N + np.maximum(a, b), return_counts=True)
+    crowded = counts > 2
+    for k, c in zip(keys[crowded].tolist(), counts[crowded].tolist()):
+        out.append(Violation("non-manifold-edge", (k // N, k % N), f"edge shared by {c} elements"))
     area, centroid, diam = _polygon_tables(nodes, goffsets, gcycles)
     degenerate = _degenerate(area, diam)
     clockwise = ~degenerate & (area < 0)

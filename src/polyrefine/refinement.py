@@ -165,24 +165,17 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
         np.column_stack([corner[prv[s]], ext[prv[s]], cyc[s], ext[s], corner[s],
                          cen_id[owner[s]]]).ravel(),
     ])
-    unrefined = np.flatnonzero(status == 0)
-    s_owner = owner[s]
-    s_cell = len(unrefined) + np.arange(len(s))
-    cell = np.concatenate([np.repeat(np.searchsorted(unrefined, owner[u]), 2), np.repeat(s_cell, 6)])
-    keep = tokens >= 0
 
-    # output order of the cells: slots, then closure-added, then marked extras
-    first = np.ones(len(s), dtype=bool)
-    first[1:] = s_owner[1:] != s_owner[:-1]
-    slot = np.empty(NT, dtype=np.int64)
-    slot[unrefined] = np.arange(len(unrefined))
-    slot[s_owner[first]] = s_cell[first]
-    order = np.concatenate([slot, s_cell[~first & (status[s_owner] == 1)],
-                            s_cell[~first & (status[s_owner] == 2)]])
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    out_rank = rank[cell[keep]]
+    # output rank of each cell: element i, or the first subcell of refined
+    # element i, is cell i; the other subcells follow as cells NT, NT + 1, ...,
+    # those of closure-added elements first, then those of marked elements
+    s_owner = owner[s]
+    rank = s_owner.copy()
+    extra = 1 + np.flatnonzero(s_owner[1:] == s_owner[:-1])
+    rank[extra[np.argsort(status[s_owner[extra]], kind="stable")]] = NT + np.arange(len(extra))
+    keep = tokens >= 0
+    out_rank = np.concatenate([np.repeat(owner[u], 2), np.repeat(rank, 6)])[keep]
     out = tokens[keep][np.argsort(out_rank, kind="stable")]
-    offsets = np.zeros(len(order) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(out_rank, minlength=len(order)), out=offsets[1:])
+    offsets = np.zeros(NT + len(extra) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(out_rank, minlength=NT + len(extra)), out=offsets[1:])
     return new_nodes, _cycle_lists(offsets, out)

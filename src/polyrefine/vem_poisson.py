@@ -22,14 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh_core import (
-    MeshError,
-    MeshTopology,
-    _as_nodes,
-    _length_groups,
-    _polygon_tables,
-    _single_cycle,
-)
+from .mesh_core import MeshError, MeshTopology, _as_nodes, _length_groups
 
 
 # relative residual ``|A u - b| / |b|`` above which a solve is rejected
@@ -74,13 +67,6 @@ def _batched_stiffness(V: np.ndarray, area: np.ndarray, h: np.ndarray) -> np.nda
     R = np.eye(n) - 1.0 / n - d[..., 0, None] * gx[:, None, :] - d[..., 1, None] * gy[:, None, :]
     Kc = area[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
     return Kc + np.swapaxes(R, 1, 2) @ R
-
-
-def local_stiffness(vertices) -> np.ndarray:
-    """Symmetric positive semidefinite local stiffness (kernel = constants)."""
-    V, offsets, cycle = _single_cycle(vertices)
-    area, _, diameter = _polygon_tables(V, offsets, cycle)
-    return _batched_stiffness(V[None], area, diameter)[0]
 
 
 def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
@@ -144,8 +130,3 @@ def solve_dirichlet(system: LinearSystem, g) -> np.ndarray:
             raise SolverError(f"residual {resid:.3e} exceeds tolerance")
         u[free] = uf
     return u
-
-
-def solve_poisson(nodes, elements, topology: MeshTopology, f, g) -> np.ndarray:
-    """Convenience wrapper: assemble and solve in one call."""
-    return solve_dirichlet(assemble(nodes, elements, topology, f), g)

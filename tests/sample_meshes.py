@@ -1,4 +1,6 @@
-"""Hand-built meshes shared across the test modules."""
+"""Hand-built and generated meshes shared across the test modules."""
+
+import functools
 
 import numpy as np
 
@@ -7,6 +9,16 @@ SQUARE_ELEMS = [[0, 1, 2, 3]]
 
 TRIANGLE_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 TRIANGLE_ELEMS = [[0, 1, 2]]
+
+
+def one_cell(vertices):
+    """The one-element mesh of a counterclockwise polygon."""
+    return np.asarray(vertices, dtype=float), [list(range(len(vertices)))]
+
+
+def local_hanging(topo, i):
+    """Hanging flag of each vertex of element ``i``, from ``topo.hanging``."""
+    return topo.hanging[topo.offsets[i]:topo.offsets[i + 1]]
 
 
 def local_edges(topo, i):
@@ -160,3 +172,43 @@ def base_mesh_pool():
     pool.append(hexagon_patch())
     pool.append(cascade_mesh())
     return pool
+
+
+def _voronoi_cells(seeds):
+    """Voronoi cells of ``seeds`` clipped to the unit square, as a mesh.
+
+    The seeds are reflected across the four sides, so each cell of a seed
+    is bounded by the sides and the cells tile the square.
+    """
+    from scipy.spatial import Voronoi
+
+    x, y = seeds.T
+    vor = Voronoi(np.vstack([seeds, np.c_[-x, y], np.c_[2 - x, y], np.c_[x, -y], np.c_[x, 2 - y]]))
+    regions = [vor.regions[r] for r in vor.point_region[:len(seeds)]]
+    used, local = np.unique(np.concatenate(regions), return_inverse=True)
+    nodes = vor.vertices[used]
+    elements = []
+    for seed, cyc in zip(seeds, np.split(local, np.cumsum([len(r) for r in regions])[:-1])):
+        d = nodes[cyc] - seed  # cells are convex and contain their seed
+        elements.append(cyc[np.argsort(np.arctan2(d[:, 1], d[:, 0]))].tolist())
+    return nodes, elements
+
+
+@functools.lru_cache(maxsize=None)
+def _centroidal_voronoi(cells, seed, iterations):
+    from polyrefine import build_topology
+
+    seeds = np.random.default_rng(seed).random((cells, 2))
+    for _ in range(iterations):
+        seeds = build_topology(*_voronoi_cells(seeds)).centroid  # one Lloyd step
+    return _voronoi_cells(seeds)
+
+
+def centroidal_voronoi_mesh(seed, cells=200, iterations=30):
+    """A centroidal Voronoi mesh of the unit square (Lloyd iterations, as in
+    PolyMesher), computed once per process and returned as a fresh copy."""
+    nodes, elements = _centroidal_voronoi(cells, seed, iterations)
+    return nodes.copy(), [list(c) for c in elements]
+
+
+VORONOI_SEEDS = (0, 1, 2)

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from polyrefine import (
+    assemble,
     build_topology,
     check_conformity,
     closure_marked_set,
@@ -19,7 +20,7 @@ from polyrefine import (
     mesh_area,
     refine,
     save_mesh,
-    solve_poisson,
+    solve_dirichlet,
     structured_quad_mesh,
     total_indicator,
     validate_mesh,
@@ -120,7 +121,7 @@ def test_criterion_5_vem_patch_test():
     worst = 0.0
     for nodes, elems in meshes:
         topo = build_topology(nodes, elems)
-        u = solve_poisson(nodes, elems, topo, zero, affine)
+        u = solve_dirichlet(assemble(nodes, elems, topo, zero), affine)
         worst = max(worst, float(np.abs(u - affine(nodes[:, 0], nodes[:, 1])).max()))
     assert worst <= 1e-9
     print(f"PASS criterion 5: patch test on 5 meshes, max error {worst:.3e} <= 1e-9")
@@ -129,7 +130,7 @@ def test_criterion_5_vem_patch_test():
 def test_criterion_6_solver_against_finite_differences():
     nodes, elems = structured_quad_mesh(16)
     topo = build_topology(nodes, elems)
-    u = solve_poisson(nodes, elems, topo, one, zero)
+    u = solve_dirichlet(assemble(nodes, elems, topo, one), zero)
 
     m, h = 15, 1.0 / 16.0
     T = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(m, m))
@@ -145,7 +146,7 @@ def test_criterion_7_estimator_sanity():
     nodes, elems = structured_quad_mesh(4)
     topo = build_topology(nodes, elems)
     affine = lambda x, y: 1.0 - 2.0 * np.asarray(x, float) + 0.5 * np.asarray(y, float)
-    u = solve_poisson(nodes, elems, topo, zero, affine)
+    u = solve_dirichlet(assemble(nodes, elems, topo, zero), affine)
     total = total_indicator(estimate(nodes, elems, topo, u, zero))
     assert total <= 1e-9
 

@@ -5,11 +5,12 @@ from hypothesis import strategies as st
 
 from polyrefine import (
     adaptive_loop,
+    assemble,
     build_topology,
     dorfler_mark,
     estimate,
     gaussian_peak_problem,
-    solve_poisson,
+    solve_dirichlet,
     structured_quad_mesh,
     total_indicator,
     validate_mesh,
@@ -90,12 +91,12 @@ class TestEstimate:
         nodes, elems = structured_quad_mesh(4)
         topo = build_topology(nodes, elems)
         affine = lambda x, y: 1.0 + 2.0 * np.asarray(x, float) - 3.0 * np.asarray(y, float)
-        u = solve_poisson(nodes, elems, topo, zero, affine)
+        u = solve_dirichlet(assemble(nodes, elems, topo, zero), affine)
         assert total_indicator(estimate(nodes, elems, topo, u, zero)) < 1e-9
 
     def test_single_element_no_jump_term(self):
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
-        u = solve_poisson(SQUARE_NODES, SQUARE_ELEMS, topo, one, zero)  # all dofs boundary
+        u = solve_dirichlet(assemble(SQUARE_NODES, SQUARE_ELEMS, topo, one), zero)  # all dofs boundary
         eta = estimate(SQUARE_NODES, SQUARE_ELEMS, topo, u, one)
         # eta^2 = h^2 |K| f(c)^2 + stabilization(0) = 2
         assert eta == pytest.approx([np.sqrt(2.0)], rel=1e-12)
@@ -103,7 +104,7 @@ class TestEstimate:
     def test_2x2_grid_against_quadrature_oracle(self):
         nodes, elems = structured_quad_mesh(2)
         topo = build_topology(nodes, elems)
-        u = solve_poisson(nodes, elems, topo, one, zero)
+        u = solve_dirichlet(assemble(nodes, elems, topo, one), zero)
         eta = estimate(nodes, elems, topo, u, one)
         oracle = indicator_oracle(nodes, elems, u, lambda x, y: 1.0)
         assert eta == pytest.approx(oracle, rel=1e-11)
@@ -114,7 +115,7 @@ class TestEstimate:
         nodes, elems = refine(*structured_quad_mesh(2), [0])
         topo = build_topology(nodes, elems)
         uex, f = gaussian_peak_problem()
-        u = solve_poisson(nodes, elems, topo, f, uex)
+        u = solve_dirichlet(assemble(nodes, elems, topo, f), uex)
         eta = estimate(nodes, elems, topo, u, f)
         oracle = indicator_oracle(nodes, elems, u, lambda x, y: float(f(x, y)))
         assert eta == pytest.approx(oracle, rel=1e-10)

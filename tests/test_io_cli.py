@@ -288,6 +288,14 @@ class TestCli:
         assert rc == 2
         assert "usage: polyrefine adapt" in capsys.readouterr().err
 
+    def test_adapt_negative_dof_cap_is_usage_error(self, tmp_path, capsys):
+        src = write_square(tmp_path / "in.mesh")
+        rc = cli_main(["adapt", "--in", src, "--dof-cap", "-5", "--out-prefix", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: polyrefine adapt") and "--dof-cap" in err
+        assert not (tmp_path / "run.csv").exists()
+
     def test_adapt_zero_steps_solves_start_mesh(self, tmp_path):
         src = write_square(tmp_path / "in.mesh")
         rc = cli_main(["adapt", "--in", src, "--steps", "0", "--out-prefix", str(tmp_path / "run")])

@@ -8,16 +8,15 @@ from hypothesis import strategies as st
 from polyrefine import (
     DegeneratePolygonError,
     InvalidIndexError,
+    MeshValidationError,
     NonManifoldEdgeError,
     TooDenseError,
     build_topology,
     check_conformity,
-    detect_hanging_nodes,
-    element_diameter,
+    load_mesh,
     mesh_area,
-    polygon_area,
-    polygon_centroid,
     refine,
+    save_mesh,
     structured_quad_mesh,
     validate_mesh,
 )
@@ -32,13 +31,17 @@ from polyrefine.mesh_core import (
 from sample_meshes import (
     SQUARE_ELEMS,
     SQUARE_NODES,
+    VORONOI_SEEDS,
     across,
     base_mesh_pool,
+    centroidal_voronoi_mesh,
     double_hang_mesh,
     hexagon_patch,
     horseshoe_mesh,
     invisible_hang_mesh,
     local_edges,
+    local_hanging,
+    one_cell,
     pentagon_pair,
     two_squares,
 )
@@ -147,45 +150,67 @@ class TestBuildTopology:
         with pytest.raises(TooDenseError):
             build_topology(tiny, SQUARE_ELEMS)
 
+    @pytest.mark.parametrize("derive", [build_topology, mesh_area])
+    @pytest.mark.parametrize("cycle, at", [([], 1), ([0], 1), ([], 4), ([0, 1], 1)],
+                             ids=["empty", "one-vertex", "empty-last", "two-vertex"])
+    def test_cycle_with_fewer_than_3_vertices(self, derive, cycle, at):
+        nodes, elems = structured_quad_mesh(2)
+        elems.insert(at, cycle)
+        with pytest.raises(DegeneratePolygonError, match=f"element {at} has {len(cycle)} vertices"):
+            derive(nodes, elems)
+
+
+def cell_tables(vertices):
+    """Signed area, centroid and diameter of one polygon, read from its one-cell topology."""
+    topo = build_topology(*one_cell(vertices))
+    return topo.area[0], topo.centroid[0], topo.diameter[0]
+
+
+def voronoi_cells():
+    """The cells of the centroidal Voronoi corpus, as vertex arrays."""
+    for seed in VORONOI_SEEDS:
+        nodes, elems = centroidal_voronoi_mesh(seed)
+        yield from (nodes[np.asarray(c)] for c in elems)
+
 
 class TestPolygonGeometry:
     def test_area_unit_square(self):
-        assert polygon_area(SQUARE_NODES) == pytest.approx(1.0)
+        assert cell_tables(SQUARE_NODES)[0] == pytest.approx(1.0)
 
     def test_area_triangle(self):
-        assert polygon_area([(0, 0), (1, 0), (0, 1)]) == pytest.approx(0.5)
+        assert cell_tables([(0, 0), (1, 0), (0, 1)])[0] == pytest.approx(0.5)
 
     def test_area_regular_hexagon(self):
         # closed form for a regular n-gon with circumradius r: n/2 r^2 sin(2 pi / n)
         oracle = 6 / 2 * np.sin(2 * np.pi / 6)
-        assert polygon_area(regular_polygon(6)) == pytest.approx(oracle, rel=1e-12)
+        assert cell_tables(regular_polygon(6))[0] == pytest.approx(oracle, rel=1e-12)
         assert oracle == pytest.approx(3 * np.sqrt(3) / 2)
 
     def test_area_degenerate_raises(self):
         with pytest.raises(DegeneratePolygonError):
-            polygon_area([(0, 0), (1, 0), (2, 0)])
+            cell_tables([(0, 0), (1, 0), (2, 0)])
 
     def test_centroid_square(self):
-        assert polygon_centroid(SQUARE_NODES) == pytest.approx([0.5, 0.5])
+        assert cell_tables(SQUARE_NODES)[1] == pytest.approx([0.5, 0.5])
 
     def test_centroid_triangle_vertex_average(self):
-        assert polygon_centroid([(0, 0), (3, 0), (0, 3)]) == pytest.approx([1.0, 1.0])
+        assert cell_tables([(0, 0), (3, 0), (0, 3)])[1] == pytest.approx([1.0, 1.0])
 
     def test_centroid_l_shape_against_rectangle_decomposition(self):
         hexagon = [(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)]
         # decomposition: [0,2]x[0,1] (area 2) and [0,1]x[1,2] (area 1)
         oracle = (2 * np.array([1.0, 0.5]) + 1 * np.array([0.5, 1.5])) / 3.0
-        assert polygon_centroid(hexagon) == pytest.approx(oracle, rel=1e-12)
+        assert cell_tables(hexagon)[1] == pytest.approx(oracle, rel=1e-12)
 
     def test_diameter_square(self):
-        assert element_diameter(SQUARE_NODES) == pytest.approx(np.sqrt(2.0))
+        assert cell_tables(SQUARE_NODES)[2] == pytest.approx(np.sqrt(2.0))
 
     def test_diameter_thin_rectangle(self):
         rect = [(0, 0), (1, 0), (1, 0.01), (0, 0.01)]
-        assert element_diameter(rect) == pytest.approx(np.sqrt(1.0001))
+        assert cell_tables(rect)[2] == pytest.approx(np.sqrt(1.0001))
 
     def test_diameter_triangle_is_a_side(self):
-        assert element_diameter([(0, 0), (3, 0), (0, 4)]) == 5.0
+        assert cell_tables([(0, 0), (3, 0), (0, 4)])[2] == 5.0
 
     def test_degeneracy_bound_is_shared(self):
         # |area| < 1e-14 h^2 is degenerate for every caller of the geometry kernel
@@ -193,8 +218,7 @@ class TestPolygonGeometry:
             rect = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, eps], [0.0, eps]])
             kinds = [v.kind for v in validate_mesh(rect, SQUARE_ELEMS).violations]
             assert ("degenerate" in kinds) == degenerate
-            for call in (lambda: polygon_area(rect), lambda: polygon_centroid(rect),
-                         lambda: mesh_area(rect, SQUARE_ELEMS),
+            for call in (lambda: mesh_area(rect, SQUARE_ELEMS),
                          lambda: build_topology(rect, SQUARE_ELEMS)):
                 if degenerate:
                     with pytest.raises(DegeneratePolygonError):
@@ -208,18 +232,21 @@ class TestPolygonGeometry:
         oracle = max(
             np.linalg.norm(pts[i] - pts[j]) for i, j in itertools.combinations(range(8), 2)
         )
-        assert element_diameter(pts) == pytest.approx(oracle, rel=0, abs=0)
+        assert cell_tables(pts)[2] == pytest.approx(oracle, rel=0, abs=0)
+        for v in voronoi_cells():
+            oracle = max(np.linalg.norm(a - b) for a, b in itertools.combinations(v, 2))
+            assert cell_tables(v)[2] == pytest.approx(oracle, rel=1e-15)
 
-    def test_scalar_helpers_equal_topology_tables(self):
+    def test_one_cell_topology_equals_mesh_rows(self):
         rng = np.random.default_rng(5)
         for nodes, elems in base_mesh_pool():
             nodes, elems = refine(nodes, elems, rng.choice(len(elems), 3, replace=False))
             topo = build_topology(nodes, elems)
             for i, cyc in enumerate(elems):
-                v = nodes[np.asarray(cyc)]
-                assert polygon_area(v) == abs(topo.area[i])
-                assert np.array_equal(polygon_centroid(v), topo.centroid[i])
-                assert element_diameter(v) == topo.diameter[i]
+                area, centroid, diameter = cell_tables(nodes[np.asarray(cyc)])
+                assert area == topo.area[i]
+                assert np.array_equal(centroid, topo.centroid[i])
+                assert diameter == topo.diameter[i]
 
     def test_mesh_area_degenerate_raises(self):
         nodes = np.vstack([SQUARE_NODES, [[2.0, 0.0], [3.0, 0.0]]])
@@ -237,25 +264,39 @@ class TestPolygonGeometry:
         area_o, cen_o = fan_area_centroid(poly, c)
         if area_o < 1e-3:
             return
-        assert polygon_area(poly) == pytest.approx(area_o, rel=1e-9)
-        assert polygon_centroid(poly) == pytest.approx(cen_o, rel=1e-7, abs=1e-9)
+        area, centroid, _ = cell_tables(poly)
+        assert area == pytest.approx(area_o, rel=1e-9)
+        assert centroid == pytest.approx(cen_o, rel=1e-7, abs=1e-9)
+
+    def test_area_centroid_of_voronoi_cells_against_fan_oracle(self):
+        for v in voronoi_cells():
+            area_o, cen_o = fan_area_centroid(v, v.mean(axis=0))
+            area, centroid, _ = cell_tables(v)
+            assert area == pytest.approx(area_o, rel=1e-12)
+            assert centroid == pytest.approx(cen_o, rel=1e-12, abs=1e-14)
+
+
+def hanging_definition(nodes, cyc, diameter):
+    """Per-vertex hanging flags of one cycle, straight from the definition."""
+    v = nodes[np.asarray(cyc)]
+    err = np.linalg.norm(v - 0.5 * (np.roll(v, 1, axis=0) + np.roll(v, -1, axis=0)), axis=1)
+    return err < 1e-10 * diameter
 
 
 class TestHangingNodes:
     def test_square_with_midpoint(self):
         nodes = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        mask = detect_hanging_nodes(0, nodes, [[0, 1, 2, 3, 4]])
-        assert list(mask) == [False, True, False, False, False]
+        hanging = build_topology(nodes, [[0, 1, 2, 3, 4]]).hanging
+        assert list(hanging) == [False, True, False, False, False]
 
     def test_plain_square(self):
-        assert not detect_hanging_nodes(0, SQUARE_NODES, SQUARE_ELEMS).any()
+        assert not build_topology(SQUARE_NODES, SQUARE_ELEMS).hanging.any()
 
     def test_perturbed_midpoint_not_flagged(self):
         base = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-        d = element_diameter(base)
+        d = cell_tables(base)[2]
         base[1, 1] += 1e-6 * d  # push off the midpoint by 1e-6 diameters
-        mask = detect_hanging_nodes(0, base, [[0, 1, 2, 3, 4]])
-        assert not mask.any()
+        assert not build_topology(base, [[0, 1, 2, 3, 4]]).hanging.any()
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 4))
@@ -263,35 +304,25 @@ class TestHangingNodes:
         nodes = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
         cyc = [0, 1, 2, 3, 4]
         rotated = cyc[shift:] + cyc[:shift]
-        base = detect_hanging_nodes(0, nodes, [cyc])
-        rot = detect_hanging_nodes(0, nodes, [rotated])
+        base = build_topology(nodes, [cyc]).hanging
+        rot = build_topology(nodes, [rotated]).hanging
         assert list(rot) == list(np.roll(base, -shift))
 
-    def test_detect_hanging_nodes_matches_definition(self):
-        nodes, elems = pentagon_pair()
-        for i in range(len(elems)):
-            verts = nodes[np.asarray(elems[i])]
-            err = np.linalg.norm(
-                verts - 0.5 * (np.roll(verts, 1, axis=0) + np.roll(verts, -1, axis=0)), axis=1
-            )
-            tol = 1e-10 * element_diameter(verts)
-            assert list(detect_hanging_nodes(i, nodes, elems)) == list(err < tol)
 
-
-def test_topology_hanging_equals_detect_hanging_nodes():
+def test_topology_hanging_matches_definition():
     rng = np.random.default_rng(5)
+    meshes = [pentagon_pair()]
     for nodes, elems in base_mesh_pool():
-        meshes = [(nodes, elems)]
         for _ in range(3):
             marked = rng.choice(len(elems), max(1, len(elems) // 4), replace=False)
             nodes, elems = refine(nodes, elems, marked)
-            meshes.append((nodes, elems))
-        for nodes, elems in meshes:
-            per_element = [detect_hanging_nodes(i, nodes, elems) for i in range(len(elems))]
-            hanging = build_topology(nodes, elems).hanging
-            assert hanging.dtype == bool
-            assert np.array_equal(hanging, np.concatenate(per_element))
-        assert hanging.any()
+        meshes.append((nodes, elems))
+    for nodes, elems in meshes:
+        topo = build_topology(nodes, elems)
+        assert topo.hanging.dtype == bool
+        for i, cyc in enumerate(elems):
+            assert np.array_equal(local_hanging(topo, i), hanging_definition(nodes, cyc, topo.diameter[i]))
+    assert all(build_topology(*mesh).hanging.any() for mesh in meshes[1:])
 
 
 def malformed_meshes():
@@ -359,6 +390,16 @@ class TestValidateMesh:
         report = validate_mesh(SQUARE_NODES, [[0, 1, 9, 2], [0, 1, 1, 2], [0, 1]])
         kinds = {v.kind for v in report.violations}
         assert kinds == {"invalid-index", "repeated-vertex", "too-few-vertices"}
+
+    def test_edge_of_three_elements(self, tmp_path):
+        # each triangle is valid on its own; refine would raise NonManifoldEdgeError
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [1.0, 1.0]])
+        elems = [[0, 1, 2], [0, 3, 1], [0, 1, 4]]
+        report = validate_mesh(nodes, elems)
+        assert report.violations == [Violation("non-manifold-edge", (0, 1), "edge shared by 3 elements")]
+        save_mesh(nodes, elems, tmp_path / "three.mesh")
+        with pytest.raises(MeshValidationError, match="non-manifold-edge"):
+            load_mesh(tmp_path / "three.mesh")
 
     def test_empty_element_table(self):
         report = validate_mesh(SQUARE_NODES, [])
@@ -454,6 +495,16 @@ def validate_mesh_oracle(nodes, elements):
             out.append(Violation("repeated-vertex", i, "cycle revisits a vertex"))
             continue
         geometric.append(i)
+
+    shared = {}
+    for i in geometric:
+        cyc = list(elements[i])
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            edge = (int(min(a, b)), int(max(a, b)))
+            shared[edge] = shared.get(edge, 0) + 1
+    for edge, count in sorted(shared.items()):
+        if count > 2:
+            out.append(Violation("non-manifold-edge", edge, f"edge shared by {count} elements"))
 
     lengths = np.array([len(elements[i]) for i in geometric], dtype=np.int64)
     for L in np.unique(lengths):
@@ -554,7 +605,7 @@ def dense_conformity_oracle(nodes, elements):
     for i, cyc in enumerate(elements):
         idx = np.asarray(cyc, dtype=np.int64)
         v = nodes[idx]
-        d = element_diameter(v)
+        d = np.sqrt(np.max(np.sum((v[:, None] - v[None]) ** 2, axis=-1)))
         prev = np.roll(v, 1, axis=0)
         nxt = np.roll(v, -1, axis=0)
         chord = nxt - prev
@@ -594,8 +645,8 @@ def nonconforming_meshes():
         nodes, elems = structured_quad_mesh(n)
         for _ in range(2):
             nodes, elems = refine(nodes, elems, rng.choice(len(elems), n, replace=False))
-        hung = [(i, j) for i in range(len(elems))
-                for j in np.flatnonzero(detect_hanging_nodes(i, nodes, elems))]
+        topo = build_topology(nodes, elems)
+        hung = [(i, j) for i in range(len(elems)) for j in np.flatnonzero(local_hanging(topo, i))]
         dropped = {(i, elems[i][j]) for i, j in hung[::2]}
         i, j = hung[1]
         cyc = elems[i]

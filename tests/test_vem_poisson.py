@@ -12,13 +12,8 @@ from polyrefine import (
     adaptive_loop,
     assemble,
     build_topology,
-    element_diameter,
-    local_stiffness,
-    polygon_area,
-    polygon_centroid,
     refine,
     solve_dirichlet,
-    solve_poisson,
     structured_quad_mesh,
 )
 from polyrefine.problems import gaussian_peak_problem
@@ -28,10 +23,17 @@ from sample_meshes import (
     SQUARE_NODES,
     base_mesh_pool,
     hexagon_patch,
+    one_cell,
     pentagon_pair,
     square_and_hung_rectangle,
     two_squares,
 )
+
+
+def cell_stiffness(vertices):
+    """The assembled matrix of the one-cell mesh of a polygon, i.e. its local stiffness."""
+    nodes, elems = one_cell(vertices)
+    return assemble(nodes, elems, build_topology(nodes, elems), zero).matrix.toarray()
 
 
 def projection_oracle(vertices):
@@ -44,8 +46,8 @@ def projection_oracle(vertices):
     v = np.asarray(vertices, dtype=float)
     n = len(v)
     x, y = v[:, 0], v[:, 1]
-    xc, yc = polygon_centroid(v)
-    h = element_diameter(v)
+    topo = build_topology(*one_cell(v))
+    (xc, yc), h = topo.centroid[0], topo.diameter[0]
     D = np.column_stack([np.ones(n), (x - xc) / h, (y - yc) / h])
     B = np.vstack([
         np.full(n, 1.0 / n),
@@ -67,9 +69,9 @@ def oracle_stiffness(vertices):
 
 def oracle_load(vertices, f):
     """Vertex load ``(area / Nv) * f(centroid)``."""
-    v = np.asarray(vertices, dtype=float)
-    c = polygon_centroid(v)
-    return np.full(len(v), polygon_area(v) / len(v) * float(f(c[0], c[1])))
+    topo = build_topology(*one_cell(vertices))
+    c = topo.centroid[0]
+    return np.full(len(vertices), topo.area[0] / len(vertices) * float(f(c[0], c[1])))
 
 
 def oracle_matrix(nodes, elements):
@@ -131,7 +133,7 @@ class TestLocalMatrices:
         np.array([[0.0, 0.0], [2.0, 0.0], [2.5, 1.5], [1.0, 2.5], [-0.5, 1.0]]),
     ])
     def test_constants_in_kernel(self, verts):
-        K = local_stiffness(verts)
+        K = cell_stiffness(verts)
         assert np.abs(K @ np.ones(len(verts))).max() < 1e-13
 
     def test_energy_of_linear_function_is_area(self):
@@ -139,19 +141,19 @@ class TestLocalMatrices:
         for verts, area in [(SQUARE_NODES, 1.0),
                             (hexagon_patch()[0][hexagon_patch()[1][0]], 3 * np.sqrt(3) / 2)]:
             u = np.asarray(verts, dtype=float)[:, 0]
-            K = local_stiffness(verts)
+            K = cell_stiffness(verts)
             assert u @ K @ u == pytest.approx(area, rel=1e-12)
 
     def test_right_triangle_equals_linear_fem(self):
         tri = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
-        K = local_stiffness(tri)
+        K = cell_stiffness(tri)
         K_fem = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         # projection is exact on triangles: stabilization vanishes
         assert np.abs(K - K_fem).max() < 1e-13
 
     def test_stiffness_spsd(self):
         for verts in [SQUARE_NODES, pentagon_pair()[0][pentagon_pair()[1][0]]]:
-            K = local_stiffness(verts)
+            K = cell_stiffness(verts)
             assert np.abs(K - K.T).max() < 1e-13
             w = np.linalg.eigvalsh(K)
             assert w[0] > -1e-12
@@ -165,19 +167,15 @@ class TestLocalMatrices:
         dofs = D @ coeff  # vertex values of an affine function
         assert pi_star @ dofs == pytest.approx(coeff, rel=1e-12)
         # the stabilization vanishes on affine functions: energy = area * |grad|^2
-        h = element_diameter(verts)
-        energy = polygon_area(verts) * (coeff[1] ** 2 + coeff[2] ** 2) / h**2
-        assert dofs @ local_stiffness(verts) @ dofs == pytest.approx(energy, rel=1e-12)
-
-    def test_singular_geometry_raises(self):
-        with pytest.raises(SingularProjectionError):
-            local_stiffness([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)])
+        topo = build_topology(*one_cell(verts))
+        energy = topo.area[0] * (coeff[1] ** 2 + coeff[2] ** 2) / topo.diameter[0] ** 2
+        assert dofs @ cell_stiffness(verts) @ dofs == pytest.approx(energy, rel=1e-12)
 
     def test_singular_bound_is_area_over_diameter_squared(self):
         # det G = (area / h^2)^2 must reach 1e-14, i.e. area >= 1e-7 h^2
         with pytest.raises(SingularProjectionError):
-            local_stiffness(rectangle(5e-8))
-        K = local_stiffness(rectangle(2e-7))
+            cell_stiffness(rectangle(5e-8))
+        K = cell_stiffness(rectangle(2e-7))
         assert np.abs(K - oracle_stiffness(rectangle(2e-7))).max() <= 1e-13 * np.abs(K).max()
 
     def test_local_load(self):
@@ -193,13 +191,13 @@ class TestClosedFormOracle:
         for nodes, elems in base_mesh_pool():
             for cyc in elems:
                 verts = nodes[np.asarray(cyc)]
-                K = local_stiffness(verts)
+                K = cell_stiffness(verts)
                 assert np.abs(K - oracle_stiffness(verts)).max() <= 1e-13 * np.abs(K).max()
 
     @settings(max_examples=200, deadline=None)
     @given(convex_polygons())
     def test_convex_polygons(self, verts):
-        K = local_stiffness(verts)
+        K = cell_stiffness(verts)
         assert np.abs(K - oracle_stiffness(verts)).max() <= 1e-13 * np.abs(K).max()
 
     def test_assembled_refined_mesh_with_hanging_nodes(self):
@@ -215,7 +213,7 @@ class TestAssemble:
     def test_single_square_matches_local(self):
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
         system = assemble(SQUARE_NODES, SQUARE_ELEMS, topo, zero)
-        assert np.abs(system.matrix.toarray() - local_stiffness(SQUARE_NODES)).max() < 1e-14
+        assert np.abs(system.matrix.toarray() - oracle_stiffness(SQUARE_NODES)).max() < 1e-14
         assert system.boundary_mask.all()
 
     def test_two_squares_scatter_additivity(self):
@@ -224,7 +222,7 @@ class TestAssemble:
         system = assemble(nodes, elems, topo, one)
         manual = np.zeros((6, 6))
         for cyc in elems:
-            K = local_stiffness(nodes[np.asarray(cyc)])
+            K = cell_stiffness(nodes[np.asarray(cyc)])
             for a, va in enumerate(cyc):
                 for b, vb in enumerate(cyc):
                     manual[va, vb] += K[a, b]
@@ -257,19 +255,19 @@ class TestSolve:
         def affine(x, y):
             return 0.7 + 1.3 * np.asarray(x, float) - 2.1 * np.asarray(y, float)
 
-        u = solve_poisson(nodes, elems, topo, zero, affine)
+        u = solve_dirichlet(assemble(nodes, elems, topo, zero), affine)
         assert np.abs(u - affine(nodes[:, 0], nodes[:, 1])).max() < 1e-9
 
     def test_zero_data_zero_solution(self):
         nodes, elems = structured_quad_mesh(4)
         topo = build_topology(nodes, elems)
-        u = solve_poisson(nodes, elems, topo, zero, zero)
+        u = solve_dirichlet(assemble(nodes, elems, topo, zero), zero)
         assert np.abs(u).max() == 0.0
 
     def test_against_five_point_finite_differences(self):
         nodes, elems = structured_quad_mesh(16)
         topo = build_topology(nodes, elems)
-        u = solve_poisson(nodes, elems, topo, one, zero)
+        u = solve_dirichlet(assemble(nodes, elems, topo, one), zero)
 
         # independent oracle: 5-point Laplacian on the same grid
         m, h = 15, 1.0 / 16.0
@@ -284,13 +282,13 @@ class TestSolve:
     def test_solution_peaks_at_center(self):
         nodes, elems = structured_quad_mesh(16)
         topo = build_topology(nodes, elems)
-        u = solve_poisson(nodes, elems, topo, one, zero)
+        u = solve_dirichlet(assemble(nodes, elems, topo, one), zero)
         assert nodes[np.argmax(u)] == pytest.approx([0.5, 0.5])
 
     def test_local_stiffness_stable_on_all_test_elements(self):
         for nodes, elems in patch_meshes():
             for cyc in elems:
-                w = np.linalg.eigvalsh(local_stiffness(nodes[np.asarray(cyc)]))
+                w = np.linalg.eigvalsh(cell_stiffness(nodes[np.asarray(cyc)]))
                 assert abs(w[0]) < 1e-12  # constant kernel only
                 assert w[1] > 1e-9
 
