@@ -308,21 +308,28 @@ class TestHangingNodes:
         rot = build_topology(nodes, [rotated]).hanging
         assert list(rot) == list(np.roll(base, -shift))
 
+    def test_detect_hanging_nodes_matches_definition(self):
+        nodes, elems = pentagon_pair()
+        topo = build_topology(nodes, elems)
+        for i in range(len(elems)):
+            assert list(local_hanging(topo, i)) == list(hanging_definition(nodes, elems[i], topo.diameter[i]))
 
-def test_topology_hanging_matches_definition():
+
+def test_topology_hanging_equals_detect_hanging_nodes():
+    """MeshTopology.hanging equals the per-element definition on refined pool meshes."""
     rng = np.random.default_rng(5)
-    meshes = [pentagon_pair()]
     for nodes, elems in base_mesh_pool():
+        meshes = [(nodes, elems)]
         for _ in range(3):
             marked = rng.choice(len(elems), max(1, len(elems) // 4), replace=False)
             nodes, elems = refine(nodes, elems, marked)
-        meshes.append((nodes, elems))
-    for nodes, elems in meshes:
-        topo = build_topology(nodes, elems)
-        assert topo.hanging.dtype == bool
-        for i, cyc in enumerate(elems):
-            assert np.array_equal(local_hanging(topo, i), hanging_definition(nodes, cyc, topo.diameter[i]))
-    assert all(build_topology(*mesh).hanging.any() for mesh in meshes[1:])
+            meshes.append((nodes, elems))
+        for nodes, elems in meshes:
+            topo = build_topology(nodes, elems)
+            per_element = [hanging_definition(nodes, cyc, topo.diameter[i]) for i, cyc in enumerate(elems)]
+            assert topo.hanging.dtype == bool
+            assert np.array_equal(topo.hanging, np.concatenate(per_element))
+        assert topo.hanging.any()
 
 
 def malformed_meshes():
