@@ -24,7 +24,8 @@ from .vem_poisson import (
     assemble,
     solve_dirichlet,
 )
-from .adaptivity import AdaptiveRun, StepRecord, adaptive_loop, dorfler_mark, estimate, total_indicator
+from .adaptivity import (AdaptiveRun, StepRecord, adaptive_loop, convergence_rate, dorfler_mark, estimate,
+                         total_indicator)
 from .meshfile import MeshParseError, MeshValidationError, load_mesh, save_mesh
 from .problems import gaussian_peak_problem
 from .svg import render_svg
@@ -53,6 +54,7 @@ __all__ = [
     "check_conformity",
     "closure_marked_set",
     "compute_cut_edges",
+    "convergence_rate",
     "dorfler_mark",
     "estimate",
     "gaussian_peak_problem",

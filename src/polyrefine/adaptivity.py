@@ -111,6 +111,18 @@ class StepRecord:
     marked_count: int
 
 
+def convergence_rate(records) -> float:
+    """Least-squares slope of ``log(total_eta)`` against ``log(num_nodes)``
+    over the second half of ``records`` (optimal for the lowest-order method
+    in 2-D is -1/2)."""
+    tail = records[len(records) // 2:]
+    if len(tail) < 2:
+        raise ValueError("a convergence rate needs at least 3 records")
+    log_n = np.log([r.num_nodes for r in tail])
+    log_eta = np.log([r.total_eta for r in tail])
+    return float(np.polyfit(log_n, log_eta, 1)[0])
+
+
 @dataclass
 class AdaptiveRun:
     records: list

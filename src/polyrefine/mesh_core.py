@@ -173,20 +173,27 @@ def _polygon_tables(nodes, offsets, cycles):
     This is the one place polygon geometry is computed.  It checks nothing:
     a degenerate polygon (see ``_degenerate``) gets a meaningless centroid.
     """
+    x, y = nodes.T
     _, nxt = _cycle_shifts(offsets)
-    p0 = nodes[cycles]
-    p1 = p0[nxt]
-    cr = p0[:, 0] * p1[:, 1] - p1[:, 0] * p0[:, 1]
+    x0, y0 = x[cycles], y[cycles]
+    x1, y1 = x0[nxt], y0[nxt]
+    cr = x0 * y1 - x1 * y0
     red = offsets[:-1]
     area2 = np.add.reduceat(cr, red)
-    sx = np.add.reduceat((p0[:, 0] + p1[:, 0]) * cr, red)
-    sy = np.add.reduceat((p0[:, 1] + p1[:, 1]) * cr, red)
+    sx = np.add.reduceat((x0 + x1) * cr, red)
+    sy = np.add.reduceat((y0 + y1) * cr, red)
 
+    # all-pairs diameter on the coordinate planes of each length group: the
+    # vertex pairs r apart, 1 <= r <= L // 2, are every pair of the cycle
     diam = np.empty(len(offsets) - 1)
     for idx, cyc in _length_groups(offsets, cycles, np.arange(len(diam))):
-        i, j = np.triu_indices(cyc.shape[1], 1)
-        d = nodes[cyc[:, i]] - nodes[cyc[:, j]]
-        diam[idx] = np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max(axis=1, initial=0.0))
+        L = cyc.shape[1]
+        XX, YY = _doubled_rows(x[cyc], y[cyc])
+        d2 = np.zeros(len(idx))
+        for r in range(1, L // 2 + 1):
+            dx, dy = XX[r:r + L] - XX[:L], YY[r:r + L] - YY[:L]
+            d2 = np.maximum(d2, (dx * dx + dy * dy).max(axis=0))
+        diam[idx] = np.sqrt(d2)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         centroid = np.column_stack([sx, sy]) / (3.0 * area2)[:, None]
@@ -267,73 +274,81 @@ def _midpoint_error(v, prev, nxt) -> np.ndarray:
     return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
-def _simple_flags(V: np.ndarray, diam: np.ndarray) -> np.ndarray:
-    """Simplicity test for a stack of same-size polygons (M, L, 2)."""
-    M, L, _ = V.shape
-    ok = np.ones(M, dtype=bool)
-    A = V
-    Bv = np.roll(V, -1, axis=1)
-    eps = (1e-12 * diam * diam)[:, None]
-    # non-adjacent side pairs i < j; sides 0 and L - 1 meet at vertex 0
-    i, j = np.triu_indices(L, 2)
-    keep = (i > 0) | (j < L - 1)
-    i, j = i[keep], j[keep]
-    if len(i):
-        a1, b1, a2, b2 = A[:, i], Bv[:, i], A[:, j], Bv[:, j]
+def _simple_flags(X: np.ndarray, Y: np.ndarray, diam: np.ndarray) -> np.ndarray:
+    """Simplicity test for ``k`` polygons of ``L`` vertices, given as their
+    ``(k, L)`` coordinate planes ``X = x[cyc]`` and ``Y = y[cyc]``.
 
-        def cr(o, p, q):
-            return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) \
-                 - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0])
-
-        d1, d2 = cr(a2, b2, a1), cr(a2, b2, b1)
-        d3, d4 = cr(a1, b1, a2), cr(a1, b1, b2)
-        proper = (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & \
-                 (((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps)))
-        bad = proper
+    A polygon is simple when no two non-adjacent sides cross or overlap and
+    no vertex touches the inside of a side it is not an endpoint of (side
+    ``s`` runs from vertex ``s`` to ``s + 1``).  All pairs of sides, or of a
+    side and a vertex, ``r`` positions apart are one row slice of the
+    ``_doubled_rows`` planes.
+    """
+    L = X.shape[1]
+    XX, YY = _doubled_rows(X, Y)
+    AX, AY, BX, BY = XX[:L], YY[:L], XX[1:L + 1], YY[1:L + 1]
+    SX, SY = BX - AX, BY - AY
+    planes = (AX, AY, BX, BY, SX, SY)
+    ok = np.ones(len(diam), dtype=bool)
+    eps = 1e-12 * diam * diam
+    # non-adjacent side pairs i < j = i + r: 2 <= r <= L - 2 leaves out the
+    # pair of sides 0 and L - 1, which meet at vertex 0
+    for r in range(2, L - 1):
+        a1x, a1y, b1x, b1y, s1x, s1y = (p[:L - r] for p in planes)
+        a2x, a2y, b2x, b2y, s2x, s2y = (p[r:] for p in planes)
+        # side of each endpoint relative to the other side's line
+        d1 = s2x * (a1y - a2y) - s2y * (a1x - a2x)
+        d2 = s2x * (b1y - a2y) - s2y * (b1x - a2x)
+        d3 = s1x * (a2y - a1y) - s1y * (a2x - a1x)
+        d4 = s1x * (b2y - a1y) - s1y * (b2x - a1x)
+        bad = (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & \
+              (((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps)))
         coll = (np.abs(d1) <= eps) & (np.abs(d2) <= eps) & (np.abs(d3) <= eps) & (np.abs(d4) <= eps)
         if coll.any():
             # collinear pairs: flag genuine 1-D interval overlap
-            u = b1 - a1
-            ulen2 = np.maximum((u * u).sum(-1), 1e-300)
-            ta = ((a2 - a1) * u).sum(-1)
-            tb = ((b2 - a1) * u).sum(-1)
+            ulen2 = np.maximum(s1x * s1x + s1y * s1y, 1e-300)
+            ta = (a2x - a1x) * s1x + (a2y - a1y) * s1y
+            tb = (b2x - a1x) * s1x + (b2y - a1y) * s1y
             overlap = np.minimum(np.maximum(ta, tb), ulen2) - np.maximum(np.minimum(ta, tb), 0.0)
-            bad = bad | (coll & (overlap > 1e-9 * ulen2))
-        ok &= ~bad.any(axis=1)
-    # a vertex touching a non-incident side pinches the boundary
-    a = A[:, None, :, :]
-    ab = (Bv - A)[:, None, :, :]
-    p = V[:, :, None, :]
-    L2 = np.maximum((ab * ab).sum(-1), 1e-300)
-    t = ((p - a) * ab).sum(-1) / L2
-    proj = a + np.clip(t, 0.0, 1.0)[..., None] * ab
-    dist2 = ((p - proj) ** 2).sum(-1)
-    k = np.arange(L)
-    incident = np.zeros((L, L), dtype=bool)
-    incident[k, k] = True
-    incident[k, (k - 1) % L] = True
-    touch = (dist2 < ((1e-12 * diam) ** 2)[:, None, None]) & \
-            (t > 1e-9) & (t < 1 - 1e-9) & ~incident[None, :, :]
-    ok &= ~touch.any(axis=(1, 2))
+            bad |= coll & (overlap > 1e-9 * ulen2)
+        ok &= ~bad.any(axis=0)
+    # a vertex touching a non-incident side pinches the boundary: side s and
+    # vertex s + r (cyclic) for 2 <= r <= L - 1
+    L2 = np.maximum(SX * SX + SY * SY, 1e-300)
+    tol = (1e-12 * diam) ** 2
+    for r in range(2, L):
+        px, py = XX[r:r + L], YY[r:r + L]
+        t = ((px - AX) * SX + (py - AY) * SY) / L2
+        # t is only read inside (0, 1), where clipping it to [0, 1] changes nothing
+        dx, dy = px - (AX + t * SX), py - (AY + t * SY)
+        ok &= ~((dx * dx + dy * dy < tol) & (t > 1e-9) & (t < 1 - 1e-9)).any(axis=0)
     return ok
 
 
-def _inside_flags(V: np.ndarray, diam: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Strict point-in-polygon for one test point per stacked polygon."""
-    a = V
-    b = np.roll(V, -1, axis=1)
-    ab = b - a
-    p = points[:, None, :]
-    L2 = np.maximum((ab * ab).sum(-1), 1e-300)
-    t = np.clip(((p - a) * ab).sum(-1) / L2, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    dist2 = ((p - proj) ** 2).sum(-1)
-    near = dist2.min(axis=1) <= (1e-12 * diam) ** 2
-    cond = (a[..., 1] > points[:, None, 1]) != (b[..., 1] > points[:, None, 1])
+def _inside_flags(X: np.ndarray, Y: np.ndarray, diam: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Strict point-in-polygon for the ``(k, 2)`` ``points``, one per polygon of
+    the ``(k, L)`` planes ``X``, ``Y`` (as in ``_simple_flags``).  A point
+    within ``1e-12`` diameters of the boundary is not inside."""
+    L = X.shape[1]
+    XX, YY = _doubled_rows(X, Y)
+    AX, AY, BX, BY = XX[:L], YY[:L], XX[1:L + 1], YY[1:L + 1]
+    SX, SY = BX - AX, BY - AY
+    px, py = points[:, 0], points[:, 1]
+    L2 = np.maximum(SX * SX + SY * SY, 1e-300)
+    t = np.clip(((px - AX) * SX + (py - AY) * SY) / L2, 0.0, 1.0)
+    dx, dy = px - (AX + t * SX), py - (AY + t * SY)
+    near = (dx * dx + dy * dy).min(axis=0) <= (1e-12 * diam) ** 2
+    cond = (AY > py) != (BY > py)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xi = a[..., 0] + (points[:, None, 1] - a[..., 1]) * ab[..., 0] / ab[..., 1]
-    crossings = np.count_nonzero(cond & (points[:, None, 0] < xi), axis=1)
+        xi = AX + (py - AY) * SX / SY
+    crossings = np.count_nonzero(cond & (px < xi), axis=0)
     return ~near & (crossings % 2 == 1)
+
+
+def _doubled_rows(X: np.ndarray, Y: np.ndarray):
+    """The ``(k, L)`` planes transposed and stacked twice, ``(2L, k)`` and C-contiguous:
+    rows ``r:r + L`` hold vertex ``s + r`` (cyclic) of each polygon in row ``s``."""
+    return np.concatenate([X, X], axis=1).T.copy(), np.concatenate([Y, Y], axis=1).T.copy()
 
 
 def _duplicate_node_pairs(nodes, radius):
@@ -417,12 +432,21 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     degenerate = _degenerate(area, diam)
     clockwise = ~degenerate & (area < 0)
     live = ~degenerate & ~clockwise
+    # an edge of two elements that both traverse it in the same direction:
+    # their interiors overlap along it (edges of more than two are reported above)
+    directed = np.sort((a * N + b)[np.repeat(live, np.diff(goffsets))])
+    twice = np.unique(directed[1:][directed[1:] == directed[:-1]])
+    tail, head = twice // N, twice % N
+    twice = twice[~np.isin(np.minimum(tail, head) * N + np.maximum(tail, head), keys[crowded])]
+    out.extend(Violation("overlap", (k // N, k % N), "edge traversed in the same direction by two elements")
+               for k in twice.tolist())
+    x, y = nodes.T
     tangled = np.zeros(len(geometric), dtype=bool)
     for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(live)):
-        tangled[idx] = ~_simple_flags(nodes[cyc], diam[idx])
+        tangled[idx] = ~_simple_flags(x[cyc], y[cyc], diam[idx])
     outside = np.zeros(len(geometric), dtype=bool)
     for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(live & ~tangled)):
-        outside[idx] = ~_inside_flags(nodes[cyc], diam[idx], centroid[idx])
+        outside[idx] = ~_inside_flags(x[cyc], y[cyc], diam[idx], centroid[idx])
 
     for kind, elems, detail in (
         ("invalid-index", np.flatnonzero(invalid), "vertex index out of range"),

@@ -94,8 +94,9 @@ def compute_cut_edges(topology: MeshTopology, refinement_set: Iterable) -> np.nd
 
 def _check_centroids_interior(nodes, topology: MeshTopology, refset: np.ndarray) -> None:
     bad = []
+    x, y = nodes.T
     for idx, cyc in _length_groups(topology.offsets, topology.cycles, refset):
-        inside = _inside_flags(nodes[cyc], topology.diameter[idx], topology.centroid[idx])
+        inside = _inside_flags(x[cyc], y[cyc], topology.diameter[idx], topology.centroid[idx])
         bad.extend(idx[~inside][:1])
     if bad:
         raise CentroidNotInteriorError(f"element {int(min(bad))}: centroid not interior")

@@ -10,12 +10,15 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
 from polyrefine import (
+    adaptive_loop,
     assemble,
     build_topology,
     check_conformity,
     closure_marked_set,
+    convergence_rate,
     dorfler_mark,
     estimate,
+    gaussian_peak_problem,
     load_mesh,
     mesh_area,
     refine,
@@ -35,6 +38,7 @@ from sample_meshes import (
     TRIANGLE_NODES,
     base_mesh_pool,
     cascade_mesh,
+    centroidal_voronoi_mesh,
     hexagon_patch,
     pentagon_pair,
 )
@@ -232,3 +236,17 @@ def test_criterion_9_determinism_and_roundtrip(tmp_path):
         assert np.array_equal(np.asarray(n, dtype=float), n2)
         assert [list(map(int, c)) for c in e] == e2
     print("PASS criterion 9: repeated runs byte-identical; load(save(mesh)) is the identity")
+
+
+@pytest.mark.parametrize("start", ["quad8", "voronoi0"])
+def test_criterion_10_asserted_convergence_rate(start):
+    # the second-half slope of log eta against log N on the peak problem;
+    # the optimal rate is -1/2 (measured: -0.552 on the quad start, -0.636 on Voronoi seed 0)
+    mesh = structured_quad_mesh(8) if start == "quad8" else centroidal_voronoi_mesh(0)
+    u_exact, f = gaussian_peak_problem()
+    run = adaptive_loop(*mesh, f, u_exact, theta=0.4, dof_cap=10000)
+    assert len(run.nodes) >= 10000
+    rate = convergence_rate(run.records)
+    assert rate <= -0.45
+    print(f"PASS criterion 10 ({start}): eta ~ N^{rate:.3f} over the second half of "
+          f"{len(run.records)} meshes")

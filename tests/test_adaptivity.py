@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrefine import (
+    StepRecord,
     adaptive_loop,
     assemble,
     build_topology,
+    convergence_rate,
     dorfler_mark,
     estimate,
     gaussian_peak_problem,
@@ -225,3 +227,18 @@ class TestAdaptiveLoop:
         run = adaptive_loop(nodes, elems, f, uex, theta=0.4, max_steps=12)
         eta = [r.total_eta for r in run.records]
         assert all(eta[k + 5] <= eta[k] for k in range(1, len(eta) - 5))
+
+
+class TestConvergenceRate:
+    def test_power_law_over_the_second_half(self):
+        # eta = N^-0.5 from the fourth record on; the first three are off the line
+        n = [10, 20, 40, 80, 160, 320, 640]
+        eta = [1.0, 5.0, 0.1] + [k ** -0.5 for k in n[3:]]
+        records = [StepRecord(i, k, k, e, 0) for i, (k, e) in enumerate(zip(n, eta))]
+        assert convergence_rate(records) == pytest.approx(-0.5, abs=1e-12)
+
+    def test_too_few_records(self):
+        records = [StepRecord(i, 10 * (i + 1), 1, 1.0, 0) for i in range(2)]
+        with pytest.raises(ValueError, match="at least 3 records"):
+            convergence_rate(records)
+        assert convergence_rate(records + [StepRecord(2, 40, 1, 0.5, 0)]) == pytest.approx(-1.0)

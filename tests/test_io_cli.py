@@ -177,6 +177,12 @@ class TestCli:
         assert cli_main(["quality", "--in", str(p)]) == 1
         assert "orientation" in capsys.readouterr().out
 
+    def test_quality_rejects_twin_element(self, tmp_path, capsys):
+        p = tmp_path / "twin.mesh"
+        save_mesh(structured_quad_mesh(2)[0], [[0, 1, 4, 3], [0, 1, 4, 3]], p)
+        assert cli_main(["quality", "--in", str(p)]) == 1
+        assert "overlap at (0, 1)" in capsys.readouterr().out
+
     def test_quality_counts_hanging_nodes(self, tmp_path, capsys):
         nodes, elems = refine(*structured_quad_mesh(2), [0])
         p = tmp_path / "h.mesh"

@@ -25,6 +25,7 @@ from polyrefine.mesh_core import (
     Violation,
     _duplicate_node_pairs,
     _inside_flags,
+    _polygon_tables,
     _simple_flags,
 )
 
@@ -408,6 +409,36 @@ class TestValidateMesh:
         with pytest.raises(MeshValidationError, match="non-manifold-edge"):
             load_mesh(tmp_path / "three.mesh")
 
+    def test_sliver_triangle_is_self_intersecting(self):
+        # area / d^2 = 5e-14 is above the degeneracy bound and every turn is a
+        # left turn, but the apex lies within 1e-12 diameters of the base
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]])
+        report = validate_mesh(nodes, [[0, 1, 2]])
+        assert report.violations == [Violation("self-intersection", 0, "polygon is not simple")]
+        assert report.violations == validate_mesh_oracle(nodes, [[0, 1, 2]]).violations
+
+    def test_twin_element_overlaps(self, tmp_path):
+        # one cell listed twice: every edge is shared by two elements, as in a
+        # valid mesh, but both traverse it in the same direction
+        nodes, _ = structured_quad_mesh(2)
+        elems = [[0, 1, 4, 3], [0, 1, 4, 3]]
+        report = validate_mesh(nodes, elems)
+        detail = "edge traversed in the same direction by two elements"
+        edges = [(0, 1), (1, 4), (3, 0), (4, 3)]
+        assert report.violations == [Violation("overlap", e, detail) for e in edges]
+        assert report.violations == validate_mesh_oracle(nodes, elems).violations
+        save_mesh(nodes, elems, tmp_path / "twin.mesh")
+        with pytest.raises(MeshValidationError, match="overlap"):
+            load_mesh(tmp_path / "twin.mesh")
+
+    def test_clockwise_neighbour_is_only_an_orientation_violation(self):
+        # the reversed right square traverses the shared edge 1 -> 4 as the left one does
+        nodes, elems = two_squares()
+        elems = [elems[0], elems[1][::-1]]
+        report = validate_mesh(nodes, elems)
+        assert [(v.kind, v.where) for v in report.violations] == [("orientation", 1)]
+        assert report.violations == validate_mesh_oracle(nodes, elems).violations
+
     def test_empty_element_table(self):
         report = validate_mesh(SQUARE_NODES, [])
         assert [(v.kind, v.where) for v in report.violations] == [("element-table", None)]
@@ -433,6 +464,29 @@ class TestValidateMesh:
         report = validate_mesh(nodes, elems)
         assert not report.ok
         assert report.violations == validate_mesh_oracle(nodes, elems).violations
+
+
+class TestPolygonKernels:
+    def test_kernels_match_oracles(self):
+        # the plane kernels against the pair-by-pair (M, L, 2) kernels they
+        # replaced: flag for flag, and the diameter bit for bit
+        rng = np.random.default_rng(8)
+        counts = np.zeros(4, dtype=np.int64)
+        for L, V in kernel_polygons(rng).items():
+            offsets = np.arange(len(V) + 1) * L
+            diam = _polygon_tables(V.reshape(-1, 2), offsets, np.arange(offsets[-1]))[2]
+            assert diam.tobytes() == diameter_oracle(V).tobytes(), L
+            X, Y = V[..., 0], V[..., 1]
+            simple = _simple_flags(X, Y, diam)
+            assert np.array_equal(simple, simple_flags_oracle(V, diam)), L
+            counts += [simple.size, np.count_nonzero(~simple), 0, 0]
+            for points in kernel_points(V, rng):
+                inside = _inside_flags(X, Y, diam, points)
+                assert np.array_equal(inside, inside_flags_oracle(V, diam, points)), L
+                counts += [0, 0, inside.size, np.count_nonzero(~inside)]
+        # every kind of outcome is well represented
+        assert counts[0] > 5000 and counts[1] > 1000
+        assert counts[2] > 200000 and 20000 < counts[3] < counts[2] - 20000
 
 
 class TestDuplicateNodePairs:
@@ -514,6 +568,7 @@ def validate_mesh_oracle(nodes, elements):
             out.append(Violation("non-manifold-edge", edge, f"edge shared by {count} elements"))
 
     lengths = np.array([len(elements[i]) for i in geometric], dtype=np.int64)
+    ccw = []
     for L in np.unique(lengths):
         idx = np.array(geometric, dtype=np.int64)[lengths == L]
         V = nodes[np.array([elements[i] for i in idx], dtype=np.int64)]
@@ -531,9 +586,10 @@ def validate_mesh_oracle(nodes, elements):
         for i in idx[clockwise]:
             out.append(Violation("orientation", int(i), "vertices are not counterclockwise"))
         live &= ~clockwise
+        ccw.extend(idx[live].tolist())
         if not live.any():
             continue
-        tangled = ~_simple_flags(V[live], diam[live])
+        tangled = ~simple_flags_oracle(V[live], diam[live])
         for i in idx[live][tangled]:
             out.append(Violation("self-intersection", int(i), "polygon is not simple"))
         keep = live.copy()
@@ -544,12 +600,155 @@ def validate_mesh_oracle(nodes, elements):
         cen = np.stack(
             [((V + w)[keep, :, 0] * cr).sum(1), ((V + w)[keep, :, 1] * cr).sum(1)], axis=1
         ) / (6.0 * sa[keep])[:, None]
-        outside = ~_inside_flags(V[keep], diam[keep], cen)
+        outside = ~inside_flags_oracle(V[keep], diam[keep], cen)
         for i in idx[keep][outside]:
             out.append(Violation("centroid-not-interior", int(i), "centroid is not strictly inside"))
 
+    traversed = {}
+    for i in sorted(ccw):
+        cyc = [int(v) for v in elements[i]]
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            traversed[(a, b)] = traversed.get((a, b), 0) + 1
+    for (a, b), count in sorted(traversed.items()):
+        if count > 1 and shared[(min(a, b), max(a, b))] == 2:
+            out.append(Violation("overlap", (a, b), "edge traversed in the same direction by two elements"))
+
     out.sort(key=lambda v: (v.where if isinstance(v.where, int) else -1, v.kind))
     return ValidationReport(out)
+
+
+def simple_flags_oracle(V: np.ndarray, diam: np.ndarray) -> np.ndarray:
+    """Simplicity test for a stack of same-size polygons (M, L, 2)."""
+    M, L, _ = V.shape
+    ok = np.ones(M, dtype=bool)
+    A = V
+    Bv = np.roll(V, -1, axis=1)
+    eps = (1e-12 * diam * diam)[:, None]
+    # non-adjacent side pairs i < j; sides 0 and L - 1 meet at vertex 0
+    i, j = np.triu_indices(L, 2)
+    keep = (i > 0) | (j < L - 1)
+    i, j = i[keep], j[keep]
+    if len(i):
+        a1, b1, a2, b2 = A[:, i], Bv[:, i], A[:, j], Bv[:, j]
+
+        def cr(o, p, q):
+            return (p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1]) \
+                 - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0])
+
+        d1, d2 = cr(a2, b2, a1), cr(a2, b2, b1)
+        d3, d4 = cr(a1, b1, a2), cr(a1, b1, b2)
+        proper = (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & \
+                 (((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps)))
+        bad = proper
+        coll = (np.abs(d1) <= eps) & (np.abs(d2) <= eps) & (np.abs(d3) <= eps) & (np.abs(d4) <= eps)
+        if coll.any():
+            # collinear pairs: flag genuine 1-D interval overlap
+            u = b1 - a1
+            ulen2 = np.maximum((u * u).sum(-1), 1e-300)
+            ta = ((a2 - a1) * u).sum(-1)
+            tb = ((b2 - a1) * u).sum(-1)
+            overlap = np.minimum(np.maximum(ta, tb), ulen2) - np.maximum(np.minimum(ta, tb), 0.0)
+            bad = bad | (coll & (overlap > 1e-9 * ulen2))
+        ok &= ~bad.any(axis=1)
+    # a vertex touching a non-incident side pinches the boundary
+    a = A[:, None, :, :]
+    ab = (Bv - A)[:, None, :, :]
+    p = V[:, :, None, :]
+    L2 = np.maximum((ab * ab).sum(-1), 1e-300)
+    t = ((p - a) * ab).sum(-1) / L2
+    proj = a + np.clip(t, 0.0, 1.0)[..., None] * ab
+    dist2 = ((p - proj) ** 2).sum(-1)
+    k = np.arange(L)
+    incident = np.zeros((L, L), dtype=bool)
+    incident[k, k] = True
+    incident[k, (k - 1) % L] = True
+    touch = (dist2 < ((1e-12 * diam) ** 2)[:, None, None]) & \
+            (t > 1e-9) & (t < 1 - 1e-9) & ~incident[None, :, :]
+    ok &= ~touch.any(axis=(1, 2))
+    return ok
+
+
+def inside_flags_oracle(V: np.ndarray, diam: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Strict point-in-polygon for one test point per stacked polygon."""
+    a = V
+    b = np.roll(V, -1, axis=1)
+    ab = b - a
+    p = points[:, None, :]
+    L2 = np.maximum((ab * ab).sum(-1), 1e-300)
+    t = np.clip(((p - a) * ab).sum(-1) / L2, 0.0, 1.0)
+    proj = a + t[..., None] * ab
+    dist2 = ((p - proj) ** 2).sum(-1)
+    near = dist2.min(axis=1) <= (1e-12 * diam) ** 2
+    cond = (a[..., 1] > points[:, None, 1]) != (b[..., 1] > points[:, None, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = a[..., 0] + (points[:, None, 1] - a[..., 1]) * ab[..., 0] / ab[..., 1]
+    crossings = np.count_nonzero(cond & (points[:, None, 0] < xi), axis=1)
+    return ~near & (crossings % 2 == 1)
+
+
+def diameter_oracle(V: np.ndarray) -> np.ndarray:
+    """All-pairs diameter of a stack of same-size polygons (M, L, 2), pair by pair."""
+    i, j = np.triu_indices(V.shape[1], 1)
+    d = V[:, i] - V[:, j]
+    return np.sqrt((d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]).max(axis=1, initial=0.0))
+
+
+def kernel_polygons(rng):
+    """``{L: (M, L, 2) stack}`` for L = 3..9: mesh cells and random polygons
+    made to sit on the kernels' tolerances.
+
+    The mesh cells are every cell of the base pool, of the Voronoi corpus and
+    of two random refinement passes over the pool.  The random polygons are
+    scrambled point sets, slivers 1e-13 thick, half-integer lattice points
+    (collinear, overlapping and touching sides), cycles with midpoint runs
+    on their sides, and each of these moved by 1e-12 jitter.
+    """
+    pool = base_mesh_pool()
+    meshes = pool + [centroidal_voronoi_mesh(s) for s in VORONOI_SEEDS]
+    for nodes, elems in pool:
+        for _ in range(2):
+            marked = rng.choice(len(elems), max(1, len(elems) // 4), replace=False)
+            nodes, elems = refine(nodes, elems, marked)
+        meshes.append((nodes, elems))
+    cells = [np.asarray(nodes, dtype=float)[c] for nodes, elems in meshes for c in elems]
+    for L in range(3, 10):
+        for _ in range(100):
+            scrambled = rng.uniform(-1.0, 1.0, size=(L, 2))
+            line = rng.uniform(0.0, 1.0, size=L)
+            sliver = np.column_stack([line, 1e-13 * rng.choice([-1.0, 0.0, 1.0], size=L)])
+            lattice = 0.5 * rng.integers(0, 4, size=(L, 2))
+            # a star-shaped polygon with L - c extra points spread evenly over its sides
+            c = int(rng.integers(max(3, (L + 1) // 2), L + 1))
+            corners, _ = star_shaped(rng.uniform(-1.0, 1.0, size=(c, 2)))
+            extra = np.bincount(rng.integers(0, c, size=L - c), minlength=c)
+            runs = np.concatenate([
+                a + np.arange(q + 1)[:, None] / (q + 1) * (b - a)
+                for a, b, q in zip(corners, np.roll(corners, -1, axis=0), extra)
+            ])
+            for V in (scrambled, sliver, lattice, runs):
+                cells += [V, V + 1e-12 * rng.standard_normal(V.shape)]
+    stacks = {}
+    for V in cells:
+        stacks.setdefault(len(V), []).append(V)
+    return {L: np.array(vs) for L, vs in sorted(stacks.items()) if 3 <= L <= 9}
+
+
+def kernel_points(V, rng):
+    """Test points per polygon of the stack: the vertex mean, each vertex,
+    points on each side, and points near the vertices, towards the mean and
+    around the polygon."""
+    M, L, _ = V.shape
+    W = np.roll(V, -1, axis=1)
+    t = rng.uniform(0.0, 1.0, size=(M, L, 1))
+    span = np.ptp(V, axis=1)
+    yield V.mean(axis=1)
+    for k in range(L):
+        yield V[:, k]
+        yield V[:, k] + t[:, k] * (W[:, k] - V[:, k])
+        yield V[:, k] + 0.5 * (W[:, k] - V[:, k])
+        yield V[:, k] + 1e-13 * rng.standard_normal((M, 2))
+        yield V[:, k] + t[:, k] * (V.mean(axis=1) - V[:, k])
+        yield V.mean(axis=1) + span * rng.uniform(-0.6, 0.6, size=(M, 2))
 
 
 class TestMeshAreaAndConformity:
