@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_core import MeshTopology, _as_nodes, _cycle_shifts, build_topology
+from .mesh_core import MeshTopology, _as_nodes, _cycle_arrays, _cycle_lists, _cycle_shifts, build_topology
 from .refinement import refine
 from .vem_poisson import assemble, solve_dirichlet
 
@@ -144,7 +144,7 @@ def adaptive_loop(nodes, elements, f, g, theta: float = 0.4, max_steps: int = 30
     cannot improve the solution.
     """
     nodes = _as_nodes(nodes).copy()
-    elements = [list(map(int, c)) for c in elements]
+    elements = _cycle_lists(*_cycle_arrays(elements, len(nodes)))
     records = []
     step = 0
     while True:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .adaptivity import adaptive_loop, total_indicator
+from .adaptivity import adaptive_loop
 from .mesh_core import (
     MeshError,
     _cycle_shifts,
@@ -65,22 +65,13 @@ def _checked(convert, ok, what: str):
 
 def _cmd_refine(args) -> int:
     nodes, elements = load_mesh(args.infile)
-    if args.steps > 1:
-        if not args.marks_file:
-            print("error: --steps > 1 requires --marks-file", file=sys.stderr)
-            return 1
+    if args.marks_file is not None:
         with open(args.marks_file, "r", encoding="utf-8") as fh:
-            per_step = [_parse_marked(ln) for ln in fh if ln.strip()]
-        if len(per_step) < args.steps:
-            print(f"error: marks file has {len(per_step)} lines, need {args.steps}", file=sys.stderr)
-            return 1
-        for k in range(args.steps):
-            nodes, elements = refine(nodes, elements, per_step[k])
+            passes = [_parse_marked(ln) for ln in fh if ln.strip()]
     else:
-        if args.marked is None:
-            print("error: --marked is required", file=sys.stderr)
-            return 1
-        nodes, elements = refine(nodes, elements, _parse_marked(args.marked))
+        passes = [_parse_marked(args.marked)]
+    for marked in passes:
+        nodes, elements = refine(nodes, elements, marked)
     save_mesh(nodes, elements, args.out)
     print(f"refined: {len(nodes)} nodes, {len(elements)} elements -> {args.out}")
     return 0
@@ -90,15 +81,10 @@ def _cmd_adapt(args) -> int:
     nodes, elements = load_mesh(args.infile)
     u_exact, f = gaussian_peak_problem()
     prefix = args.out_prefix
-    rows = []
 
     def on_step(step, nds, els, u, eta, marked):
         save_mesh(nds, els, f"{prefix}_step{step:03d}.mesh")
         render_svg(nds, els, f"{prefix}_step{step:03d}.svg")
-        if step > 0:
-            rows.append(
-                f"{step},{len(nds)},{len(els)},{total_indicator(eta)!r},{len(marked)}"
-            )
 
     run = adaptive_loop(
         nodes, elements, f, u_exact,
@@ -106,6 +92,8 @@ def _cmd_adapt(args) -> int:
         dof_cap=args.dof_cap or None,
         on_step=on_step,
     )
+    rows = [f"{r.step},{r.num_nodes},{r.num_elements},{r.total_eta!r},{r.marked_count}"
+            for r in run.records[1:]]
     with open(f"{prefix}.csv", "w", encoding="utf-8") as fh:
         fh.write("\n".join([CSV_HEADER] + rows) + "\n")
     save_field(run.solution, f"{prefix}_solution.txt")
@@ -156,9 +144,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("refine", help="locally refine a mesh file")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--marked", help="comma-separated element indices")
-    p.add_argument("--steps", type=_checked(int, lambda n: n >= 1, "an integer >= 1"), default=1)
-    p.add_argument("--marks-file", help="one comma-separated marked list per step")
+    marks = p.add_mutually_exclusive_group(required=True)
+    marks.add_argument("--marked", help="comma-separated element indices")
+    marks.add_argument("--marks-file", help="one comma-separated marked list per pass")
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("adapt", help="adaptive Poisson loop on the peak problem")

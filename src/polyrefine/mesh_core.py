@@ -11,7 +11,7 @@ conforming polygonal complex even when hanging nodes are present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -26,7 +26,7 @@ class MeshError(Exception):
 
 
 class InvalidIndexError(MeshError):
-    """An element references a vertex index outside the node table."""
+    """An element (or marked-list) entry is not an integer index in range."""
 
 
 class TooDenseError(MeshError):
@@ -124,18 +124,25 @@ def _as_nodes(nodes) -> np.ndarray:
     return arr
 
 
-def _cycle_arrays(elements):
-    """Cycle offsets and concatenated cycles of an element list.
-
-    Raises ``DegeneratePolygonError`` for the first cycle with fewer than 3 vertices.
+def _cycle_arrays(elements, n):
+    """Cycle offsets and concatenated int64 cycles of an element table, with -1
+    for each entry that is not an index: ``isinstance(v, (int, np.integer,
+    np.bool_)) and 0 <= v < n``.  The one reader of element tables and marked
+    lists; a table that numpy reads as 1-D integers is ranged in one mask.
     """
     lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
-    short = np.flatnonzero(lengths < 3)
-    if short.size:
-        raise DegeneratePolygonError(f"element {int(short[0])} has {int(lengths[short[0]])} vertices")
-    offsets = np.r_[0, np.cumsum(lengths)]
-    conc = np.fromiter(chain.from_iterable(elements), dtype=np.int64, count=int(offsets[-1]))
-    return offsets, conc
+    flat = list(chain.from_iterable(elements))
+    try:
+        arr = np.array(flat)
+    except ValueError:  # nested sequences of unequal lengths
+        arr = None
+    if arr is not None and arr.ndim == 1 and arr.dtype.kind in "iu":
+        cycles = arr.astype(np.int64)
+        cycles[(arr < 0) | (arr >= n)] = -1
+    else:
+        cycles = np.array([int(v) if isinstance(v, (int, np.integer, np.bool_)) and 0 <= v < n else -1
+                           for v in flat], dtype=np.int64)
+    return np.r_[0, np.cumsum(lengths)], cycles
 
 
 def _cycle_shifts(offsets):
@@ -205,18 +212,27 @@ def _degenerate(area, diameter):
     return np.abs(area) < 1e-14 * diameter * diameter
 
 
-def _checked_tables(nodes, offsets, cycles):
-    """``_polygon_tables``, raising ``DegeneratePolygonError`` on the first degenerate polygon."""
+def _checked_tables(nodes, elements):
+    """Flat cycle arrays and ``_polygon_tables`` of an element table that must be
+    valid: raises ``DegeneratePolygonError`` or ``InvalidIndexError`` on the first bad element."""
+    offsets, cycles = _cycle_arrays(elements, len(nodes))
+    lengths = np.diff(offsets)
+    short = np.flatnonzero(lengths < 3)
+    if short.size:
+        raise DegeneratePolygonError(f"element {int(short[0])} has {int(lengths[short[0]])} vertices")
+    bad = np.flatnonzero(cycles < 0)
+    if bad.size:
+        raise InvalidIndexError(f"element {_cycle_owners(offsets)[bad[0]]}: an entry is not a vertex index")
     area, centroid, diameter = _polygon_tables(nodes, offsets, cycles)
     bad = _degenerate(area, diameter)
     if bad.any():
         raise DegeneratePolygonError(f"element {int(np.flatnonzero(bad)[0])} has vanishing area")
-    return area, centroid, diameter
+    return offsets, cycles, area, centroid, diameter
 
 
 def mesh_area(nodes, elements) -> float:
     """Total unsigned area of all elements."""
-    area, _, _ = _checked_tables(_as_nodes(nodes), *_cycle_arrays(elements))
+    area = _checked_tables(_as_nodes(nodes), elements)[2]
     return float(np.sum(np.abs(area)))
 
 
@@ -226,7 +242,7 @@ def build_topology(nodes, elements) -> MeshTopology:
     Raises
     ------
     InvalidIndexError
-        If an element references a vertex outside the node table.
+        If an element entry is not a vertex index (see ``_cycle_arrays``).
     NonManifoldEdgeError
         If an edge is shared by more than two elements.
     DegeneratePolygonError
@@ -238,9 +254,7 @@ def build_topology(nodes, elements) -> MeshTopology:
     NT = len(elements)
     if NT == 0:
         raise ValueError("element table is empty")
-    offsets, conc = _cycle_arrays(elements)
-    if conc.min() < 0 or conc.max() >= len(nodes):
-        raise InvalidIndexError("element vertex index out of range")
+    offsets, conc, area, centroid, diameter = _checked_tables(nodes, elements)
 
     # edge (a, b) with a < b as the key a * N + b, which sorts lexicographically
     N = len(nodes)
@@ -258,7 +272,6 @@ def build_topology(nodes, elements) -> MeshTopology:
     last[inv] = np.arange(inv.size)
     edge2elem = np.column_stack([owners[first], owners[last]])
 
-    area, centroid, diameter = _checked_tables(nodes, offsets, conc)
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
     # the one hanging-node test: within HANGING_TOL_REL diameters of the neighbours' midpoint
@@ -400,17 +413,13 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     if len(elements) == 0:
         out.append(Violation("element-table", None, "element table is empty"))
 
-    # structural checks on the flat cycle arrays; integer entries are
-    # clamped to [-1, N] as Python objects, so that no index overflows int64
+    # structural checks on the flat cycle arrays (-1 marks an invalid entry)
     N, NT = len(nodes), len(elements)
-    lengths = np.fromiter(map(len, elements), dtype=np.int64, count=NT)
-    owner = _cycle_owners(np.r_[0, np.cumsum(lengths)])
-    flat = list(chain.from_iterable(elements))
-    is_int = np.fromiter(map(isinstance, flat, repeat((int, np.integer))), dtype=bool, count=len(flat))
-    conc = np.full(len(flat), -1, dtype=np.int64)
-    conc[is_int] = np.clip(np.array(list(compress(flat, is_int)), dtype=object), -1, N)
+    offsets, conc = _cycle_arrays(elements, N)
+    lengths = np.diff(offsets)
+    owner = _cycle_owners(offsets)
     few = lengths < 3
-    invalid = ~few & (np.bincount(owner[(conc < 0) | (conc >= N)], minlength=NT) > 0)
+    invalid = ~few & (np.bincount(owner[conc < 0], minlength=NT) > 0)
     rest = ~(few | invalid)[owner]
     key = np.sort(owner[rest] * N + conc[rest])
     repeated = np.bincount(key[1:][key[1:] == key[:-1]] // N, minlength=NT) > 0
@@ -545,14 +554,13 @@ def _nodes_inside_sides(nodes, a, b):
     return zip(k[keep], j[keep])
 
 
-def structured_quad_mesh(nx: int, ny: int | None = None, origin=(0.0, 0.0), extent=(1.0, 1.0)):
-    """Axis-aligned ``nx`` x ``ny`` grid of quadrilaterals (counterclockwise)."""
+def structured_quad_mesh(nx: int, ny: int | None = None, origin=(0.0, 0.0)):
+    """Axis-aligned ``nx`` x ``ny`` grid of quadrilaterals (counterclockwise) on the unit square at ``origin``."""
     if ny is None:
         ny = nx
     x0, y0 = origin
-    w, h = extent
-    xs = x0 + w * np.arange(nx + 1) / nx
-    ys = y0 + h * np.arange(ny + 1) / ny
+    xs = x0 + np.arange(nx + 1) / nx
+    ys = y0 + np.arange(ny + 1) / ny
     X, Y = np.meshgrid(xs, ys)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
     elements = []

@@ -26,6 +26,7 @@ from .mesh_core import (
     MeshError,
     MeshTopology,
     _as_nodes,
+    _cycle_arrays,
     _cycle_lists,
     _cycle_owners,
     _cycle_shifts,
@@ -40,13 +41,11 @@ class CentroidNotInteriorError(MeshError):
 
 
 def _canonical_marked(marked, num_elements: int) -> list:
-    marked = list(marked)
-    if not all(isinstance(i, (int, np.integer)) for i in marked):
-        raise InvalidIndexError("marked element indices must be integers")
-    out = sorted({int(i) for i in marked})
-    if out and (out[0] < 0 or out[-1] >= num_elements):
-        raise InvalidIndexError("marked element index out of range")
-    return out
+    """Sorted distinct element indices of ``marked``, read by ``_cycle_arrays``."""
+    _, flat = _cycle_arrays([list(marked)], num_elements)
+    if (flat < 0).any():
+        raise InvalidIndexError(f"a marked entry is not an element index in [0, {num_elements})")
+    return np.unique(flat).tolist()
 
 
 def _nontrivial_edges(topology: MeshTopology) -> np.ndarray:
@@ -84,8 +83,9 @@ def closure_marked_set(topology: MeshTopology, marked) -> set:
 
 def compute_cut_edges(topology: MeshTopology, refinement_set: Iterable) -> np.ndarray:
     """Trivial edges of the refinement set, i.e. the edges that get midpoints."""
-    in_set = np.zeros(len(topology.offsets) - 1, dtype=bool)
-    in_set[np.fromiter(refinement_set, dtype=np.int64)] = True
+    NT = len(topology.offsets) - 1
+    in_set = np.zeros(NT, dtype=bool)
+    in_set[_canonical_marked(refinement_set, NT)] = True
     nontrivial = _nontrivial_edges(topology)
     cut = np.zeros(topology.num_edges, dtype=bool)
     cut[topology.cycle_edges[in_set[_cycle_owners(topology.offsets)] & ~nontrivial]] = True
@@ -107,7 +107,7 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
 
     The output cycles again list every boundary node of every element, each
     straight segment carries at most one hanging node, and total area is
-    preserved.  An empty marked set returns the input unchanged.  Pass the
+    preserved.  An empty marked set gives a copy of the input.  Pass the
     mesh's ``topology`` if it is already built.
 
     Numbering of the returned mesh:
@@ -125,8 +125,6 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
     """
     nodes = _as_nodes(nodes)
     marked = _canonical_marked(marked, len(elements))
-    if not marked:
-        return nodes.copy(), [list(map(int, c)) for c in elements]
     if topology is None:
         topology = build_topology(nodes, elements)
     additional = sorted(closure_marked_set(topology, marked))

@@ -146,18 +146,12 @@ class TestCli:
         nodes, elems = load_mesh(out)
         assert (len(nodes), len(elems)) == (9, 4)
 
-    def test_refine_steps_require_marks_file(self, tmp_path):
-        src = write_square(tmp_path / "in.mesh")
-        out = str(tmp_path / "out.mesh")
-        rc = cli_main(["refine", "--in", src, "--marked", "0", "--steps", "3", "--out", out])
-        assert rc == 1
-
     def test_refine_with_marks_file(self, tmp_path):
         src = write_square(tmp_path / "in.mesh")
         marks = tmp_path / "marks.txt"
         marks.write_text("0\n1,2\n")
         out = str(tmp_path / "out.mesh")
-        rc = cli_main(["refine", "--in", src, "--steps", "2", "--marks-file", str(marks), "--out", out])
+        rc = cli_main(["refine", "--in", src, "--marks-file", str(marks), "--out", out])
         assert rc == 0
         nodes, elems = load_mesh(out)
         ref = refine(*refine(SQUARE_NODES, SQUARE_ELEMS, [0]), [1, 2])
@@ -310,10 +304,26 @@ class TestCli:
 
     @pytest.mark.parametrize("steps", ["0", "-3", "two"])
     def test_refine_steps_below_one_is_usage_error(self, tmp_path, capsys, steps):
+        # --steps is gone (the pass count is the line count of --marks-file),
+        # so any value of it, one below 1 included, is an unrecognized argument;
+        # argparse reports those from the top-level parser.
         src = write_square(tmp_path / "in.mesh")
         out = tmp_path / "out.mesh"
         rc = cli_main(["refine", "--in", src, "--marked", "0", "--steps", steps, "--out", str(out)])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith("usage: polyrefine refine") and "--steps" in err
+        assert err.startswith("usage: polyrefine") and f"unrecognized arguments: --steps {steps}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("marks, why", [(["--marked", "0", "--marks-file", "marks.txt"], "not allowed with"),
+                                            ([], "is required")], ids=["both", "neither"])
+    def test_refine_needs_exactly_one_marks_option(self, tmp_path, capsys, marks, why):
+        src = write_square(tmp_path / "in.mesh")
+        (tmp_path / "marks.txt").write_text("0\n")
+        marks = [str(tmp_path / m) if m == "marks.txt" else m for m in marks]
+        out = tmp_path / "out.mesh"
+        rc = cli_main(["refine", "--in", src, *marks, "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: polyrefine refine") and why in err.splitlines()[-1]
         assert not out.exists()

@@ -11,8 +11,10 @@ from polyrefine import (
     MeshValidationError,
     NonManifoldEdgeError,
     TooDenseError,
+    adaptive_loop,
     build_topology,
     check_conformity,
+    gaussian_peak_problem,
     load_mesh,
     mesh_area,
     refine,
@@ -23,6 +25,7 @@ from polyrefine import (
 from polyrefine.mesh_core import (
     ValidationReport,
     Violation,
+    _cycle_arrays,
     _duplicate_node_pairs,
     _inside_flags,
     _polygon_tables,
@@ -549,7 +552,7 @@ def validate_mesh_oracle(nodes, elements):
         if len(cyc) < 3:
             out.append(Violation("too-few-vertices", i, f"cycle has {len(cyc)} vertices"))
             continue
-        if any((not isinstance(v, (int, np.integer))) or v < 0 or v >= N for v in cyc):
+        if any(vertex_index(v, N) < 0 for v in cyc):
             out.append(Violation("invalid-index", i, "vertex index out of range"))
             continue
         if len(set(cyc)) != len(cyc):
@@ -859,6 +862,65 @@ def nonconforming_meshes():
         moved = nodes.copy()
         moved[cyc[j]] += 0.1 * (nodes[cyc[(j + 1) % len(cyc)]] - nodes[cyc[j - 1]])
         yield moved, [[v for v in c if (k, v) not in dropped] for k, c in enumerate(elems)]
+
+
+def vertex_index(v, n):
+    """The vertex-index rule, one entry at a time: ``v`` as an int, or -1."""
+    return int(v) if isinstance(v, (int, np.integer, np.bool_)) and 0 <= v < n else -1
+
+
+NUMPY_INTS = [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+
+
+def numpy_ints(t):
+    info = np.iinfo(t)
+    return st.one_of(st.integers(max(int(info.min), -3), 12), st.integers(int(info.min), int(info.max))).map(t)
+
+
+# entries numpy reads as integers, alone or mixed (uint64 above 2**63 included)
+INTEGER_ENTRIES = st.one_of(
+    st.integers(-3, 12),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.sampled_from(NUMPY_INTS).flatmap(numpy_ints),
+)
+ENTRIES = st.one_of(
+    INTEGER_ENTRIES,
+    st.integers(-2**70, 2**70),
+    st.floats(),
+    st.integers(0, 12).map(float),
+    st.integers(0, 12).map(str),
+    st.none(),
+    st.lists(st.integers(0, 12), max_size=2),
+)
+
+
+def tables(entries):
+    return st.lists(st.lists(entries, max_size=6), max_size=5)
+
+
+class TestVertexIndexRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(tables(INTEGER_ENTRIES), tables(ENTRIES)), st.integers(0, 10))
+    def test_cycle_arrays_follow_the_rule(self, elements, n):
+        offsets, cycles = _cycle_arrays(elements, n)
+        assert offsets.tolist() == [0, *itertools.accumulate(map(len, elements))]
+        assert cycles.dtype == np.int64
+        assert cycles.tolist() == [vertex_index(v, n) for cyc in elements for v in cyc]
+
+    @pytest.mark.parametrize("entry", [4.7, "4", np.float64(4.0), None, [4], 10**30, -1, 9], ids=repr)
+    def test_every_entry_point_rejects_a_non_index(self, entry):
+        nodes, elems = structured_quad_mesh(2)
+        elems[0] = [0, 1, entry, 3]
+        u, f = gaussian_peak_problem()
+        for call in (build_topology, mesh_area, check_conformity,
+                     lambda n, e: refine(n, e, [1]),
+                     lambda n, e: refine(n, e, []),
+                     lambda n, e: adaptive_loop(n, e, f, u, max_steps=0)):
+            with pytest.raises(InvalidIndexError, match="element 0"):
+                call(nodes, elems)
+        report = validate_mesh(nodes, elems)
+        assert [(v.kind, v.where) for v in report.violations] == [("invalid-index", 0)]
 
 
 def test_structured_quad_mesh_shapes():

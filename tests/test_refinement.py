@@ -21,6 +21,7 @@ from sample_meshes import (
     TRIANGLE_ELEMS,
     TRIANGLE_NODES,
     across,
+    base_mesh_pool,
     cascade_mesh,
     horseshoe_mesh,
     local_edges,
@@ -307,10 +308,17 @@ class TestRefine:
         assert_healthy(nodes, elems, area0)
 
     def test_no_marked_elements_unchanged(self):
-        nodes0, elems0 = structured_quad_mesh(2)
-        nodes, elems = refine(nodes0, elems0, [])
-        assert np.array_equal(nodes, nodes0)
-        assert elems == elems0
+        # on every pool mesh and on 3 seeded refined passes of each
+        rng = np.random.default_rng(5)
+        for nodes, elems in base_mesh_pool():
+            for k in range(4):
+                if k:
+                    nodes, elems = refine(nodes, elems, rng.choice(len(elems), max(1, len(elems) // 5), replace=False))
+                out_nodes, out_elems = refine(nodes, elems, [])
+                assert out_nodes is not nodes and out_nodes.dtype == float
+                assert np.array_equal(out_nodes, nodes)
+                assert out_elems == elems
+                assert all(type(v) is int for cyc in out_elems for v in cyc)
 
     def test_five_rounds_marking_first_element(self):
         nodes, elems = structured_quad_mesh(3)
