@@ -11,7 +11,7 @@ conforming polygonal complex even when hanging nodes are present.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 
 import numpy as np
 
@@ -127,8 +127,10 @@ def _as_nodes(nodes) -> np.ndarray:
 def _cycle_arrays(elements, n):
     """Cycle offsets and concatenated int64 cycles of an element table, with -1
     for each entry that is not an index: ``isinstance(v, (int, np.integer,
-    np.bool_)) and 0 <= v < n``.  The one reader of element tables and marked
-    lists; a table that numpy reads as 1-D integers is ranged in one mask.
+    np.bool_)) and 0 <= v < n``, where a 0-d array ``v`` is read as its scalar
+    ``v[()]`` (so ``np.array(4)`` is vertex 4, ``np.array(4.0)`` is not).  The
+    one reader of element tables and marked lists; a table that numpy reads as
+    1-D integers is ranged in one mask.
     """
     lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
     flat = list(chain.from_iterable(elements))
@@ -140,8 +142,9 @@ def _cycle_arrays(elements, n):
         cycles = arr.astype(np.int64)
         cycles[(arr < 0) | (arr >= n)] = -1
     else:
+        scalars = (v[()] if isinstance(v, np.ndarray) and v.ndim == 0 else v for v in flat)
         cycles = np.array([int(v) if isinstance(v, (int, np.integer, np.bool_)) and 0 <= v < n else -1
-                           for v in flat], dtype=np.int64)
+                           for v in scalars], dtype=np.int64)
     return np.r_[0, np.cumsum(lengths)], cycles
 
 
@@ -338,24 +341,20 @@ def _simple_flags(X: np.ndarray, Y: np.ndarray, diam: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _inside_flags(X: np.ndarray, Y: np.ndarray, diam: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Strict point-in-polygon for the ``(k, 2)`` ``points``, one per polygon of
-    the ``(k, L)`` planes ``X``, ``Y`` (as in ``_simple_flags``).  A point
-    within ``1e-12`` diameters of the boundary is not inside."""
-    L = X.shape[1]
-    XX, YY = _doubled_rows(X, Y)
-    AX, AY, BX, BY = XX[:L], YY[:L], XX[1:L + 1], YY[1:L + 1]
-    SX, SY = BX - AX, BY - AY
-    px, py = points[:, 0], points[:, 1]
-    L2 = np.maximum(SX * SX + SY * SY, 1e-300)
-    t = np.clip(((px - AX) * SX + (py - AY) * SY) / L2, 0.0, 1.0)
-    dx, dy = px - (AX + t * SX), py - (AY + t * SY)
-    near = (dx * dx + dy * dy).min(axis=0) <= (1e-12 * diam) ** 2
-    cond = (AY > py) != (BY > py)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = AX + (py - AY) * SX / SY
-    crossings = np.count_nonzero(cond & (px < xi), axis=0)
-    return ~near & (crossings % 2 == 1)
+def _star_flags(nodes, offsets, cycles, points, diam) -> np.ndarray:
+    """Whether each polygon of the flat cycle arrays is star-shaped about its
+    row of ``points``: left of every side's line by more than ``1e-12 diam²``
+    (a cross product), with the boundary wound once around it, which given the
+    first means one side with ``ay <= py < by``.  Star-shaped implies simple."""
+    x, y = nodes.T
+    _, nxt = _cycle_shifts(offsets)
+    ax, ay = x[cycles], y[cycles]
+    bx, by = ax[nxt], ay[nxt]
+    lengths, red = np.diff(offsets), offsets[:-1]
+    px, py = np.repeat(points, lengths, axis=0).T
+    left = (bx - ax) * (py - ay) - (by - ay) * (px - ax) > np.repeat(1e-12 * diam * diam, lengths)
+    winding = np.add.reduceat((ay <= py) & (py < by), red, dtype=np.int64)
+    return np.logical_and.reduceat(left, red) & (winding == 1)
 
 
 def _doubled_rows(X: np.ndarray, Y: np.ndarray):
@@ -365,32 +364,35 @@ def _doubled_rows(X: np.ndarray, Y: np.ndarray):
 
 
 def _duplicate_node_pairs(nodes, radius):
-    """Index pairs of nodes closer than ``radius`` (grid hashing, 4 shifted lattices)."""
+    """Sorted index pairs ``(i, j)``, ``i < j``, of nodes closer than ``radius``.
+
+    Grid hashing on 4 shifted lattices: the nodes of one lattice cell form a
+    run of the sorted cell keys, and its pairs are the positions ``k = 1, 2,
+    ...`` apart with equal keys, up to the longest run.
+    """
     n = len(nodes)
-    if n < 2:
-        return []
-    cell = 2.0 * radius
-    found = set()
-    for sx in (0.0, radius):
-        for sy in (0.0, radius):
-            keys = np.floor((nodes + [sx, sy]) / cell).astype(np.int64)
-            order = np.lexsort((keys[:, 1], keys[:, 0]))
-            ks = keys[order]
-            starts = np.flatnonzero(np.r_[True, np.any(ks[1:] != ks[:-1], axis=1)])
-            stops = np.r_[starts[1:], n]
-            shared = stops - starts > 1
-            for start, stop in zip(starts[shared].tolist(), stops[shared].tolist()):
-                for i, j in combinations(sorted(order[start:stop].tolist()), 2):
-                    if np.linalg.norm(nodes[i] - nodes[j]) < radius:
-                        found.add((i, j))
-    return sorted(found)
+    found = [np.zeros(0, dtype=np.int64)]
+    for shift in ((0.0, 0.0), (0.0, radius), (radius, 0.0), (radius, radius)):
+        kx, ky = np.floor((nodes + shift) / (2.0 * radius)).astype(np.int64).T
+        order = np.lexsort((ky, kx))
+        kx, ky = kx[order], ky[order]
+        for k in range(1, n):
+            p = np.flatnonzero((kx[k:] == kx[:-k]) & (ky[k:] == ky[:-k]))
+            if p.size == 0:
+                break
+            i, j = order[p], order[p + k]
+            close = np.linalg.norm(nodes[i] - nodes[j], axis=1) < radius
+            found.append((np.minimum(i, j) * n + np.maximum(i, j))[close])
+    pairs = np.unique(np.concatenate(found))
+    return list(zip((pairs // n).tolist(), (pairs % n).tolist()))
 
 
 def validate_mesh(nodes, elements) -> ValidationReport:
     """Check node-table and element-table invariants.
 
     Violations are returned as data; nothing is raised.  An empty report
-    means the mesh is refinable.
+    means the mesh is refinable: every element is simple, counterclockwise
+    and star-shaped about its centroid (``_star_flags``).
     """
     out = []
     try:
@@ -453,9 +455,8 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     tangled = np.zeros(len(geometric), dtype=bool)
     for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(live)):
         tangled[idx] = ~_simple_flags(x[cyc], y[cyc], diam[idx])
-    outside = np.zeros(len(geometric), dtype=bool)
-    for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(live & ~tangled)):
-        outside[idx] = ~_inside_flags(x[cyc], y[cyc], diam[idx], centroid[idx])
+    with np.errstate(invalid="ignore"):  # degenerate cells have inf/nan centroids
+        outside = live & ~tangled & ~_star_flags(nodes, goffsets, gcycles, centroid, diam)
 
     for kind, elems, detail in (
         ("invalid-index", np.flatnonzero(invalid), "vertex index out of range"),
@@ -463,7 +464,7 @@ def validate_mesh(nodes, elements) -> ValidationReport:
         ("degenerate", geometric[degenerate], "polygon area is numerically zero"),
         ("orientation", geometric[clockwise], "vertices are not counterclockwise"),
         ("self-intersection", geometric[tangled], "polygon is not simple"),
-        ("centroid-not-interior", geometric[outside], "centroid is not strictly inside"),
+        ("centroid-not-interior", geometric[outside], "polygon is not star-shaped about its centroid"),
     ):
         out.extend(Violation(kind, int(i), detail) for i in elems)
 

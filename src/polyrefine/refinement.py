@@ -3,12 +3,14 @@
 Marked polygons are split by joining each edge midpoint to the element
 centroid, yielding one quadrilateral subcell per non-hanging vertex.  A
 hanging vertex is joined directly to the centroid instead of bisecting its
-two incident edges, which keeps subcells well shaped.  To guarantee that no
-straight segment ever carries more than one hanging node, the marked set is
-first closed: any neighbour that already has a hanging node on an edge of
-the refinement set is refined as well.  Unrefined neighbours of refined
-elements are extended with the new edge midpoints so the vertex cycles stay
-a conforming complex.
+two incident edges, which keeps subcells well shaped.  Each refined element
+must be star-shaped about its centroid (``_star_flags``), so that its
+subcells are fans of counterclockwise triangles about it; otherwise the pass
+raises ``CentroidNotInteriorError``.  To guarantee that no straight segment
+ever carries more than one hanging node, the marked set is first closed: any
+neighbour that already has a hanging node on an edge of the refinement set
+is refined as well.  Unrefined neighbours of refined elements are extended
+with the new edge midpoints so the vertex cycles stay a conforming complex.
 
 All stages work on the flat cycle arrays of ``MeshTopology`` (offsets plus
 concatenated vertex and edge indices); element lists are built only for
@@ -30,14 +32,13 @@ from .mesh_core import (
     _cycle_lists,
     _cycle_owners,
     _cycle_shifts,
-    _inside_flags,
-    _length_groups,
+    _star_flags,
     build_topology,
 )
 
 
 class CentroidNotInteriorError(MeshError):
-    """An element cannot be subdivided because its centroid is not interior."""
+    """An element cannot be subdivided because it is not star-shaped about its centroid."""
 
 
 def _canonical_marked(marked, num_elements: int) -> list:
@@ -92,16 +93,6 @@ def compute_cut_edges(topology: MeshTopology, refinement_set: Iterable) -> np.nd
     return np.flatnonzero(cut)
 
 
-def _check_centroids_interior(nodes, topology: MeshTopology, refset: np.ndarray) -> None:
-    bad = []
-    x, y = nodes.T
-    for idx, cyc in _length_groups(topology.offsets, topology.cycles, refset):
-        inside = _inside_flags(x[cyc], y[cyc], topology.diameter[idx], topology.centroid[idx])
-        bad.extend(idx[~inside][:1])
-    if bad:
-        raise CentroidNotInteriorError(f"element {int(min(bad))}: centroid not interior")
-
-
 def refine(nodes, elements, marked, topology: MeshTopology | None = None):
     """Refine ``marked`` elements (plus closure) and return the new mesh.
 
@@ -133,7 +124,10 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
     status[additional] = 1
     status[marked] = 2
     refset = np.flatnonzero(status)
-    _check_centroids_interior(nodes, topology, refset)
+    star = _star_flags(nodes, topology.offsets, topology.cycles, topology.centroid, topology.diameter)
+    bad = refset[~star[refset]]
+    if bad.size:
+        raise CentroidNotInteriorError(f"element {int(bad[0])}: not star-shaped about its centroid")
     cut = compute_cut_edges(topology, refset)
 
     mid_id = np.full(topology.num_edges, -1, dtype=np.int64)

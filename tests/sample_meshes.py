@@ -137,6 +137,23 @@ def horseshoe_mesh():
     return nodes, [[0, 1, 2, 3, 4, 5, 6, 7]]
 
 
+def thick_u_mesh():
+    """A U-shaped element whose centroid (1.5, 1.375) is inside it but does not
+    see the whole boundary: the notch hides the top of each arm."""
+    nodes = np.array([
+        [0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0],
+        [2.0, 2.0], [1.0, 2.0], [1.0, 3.0], [0.0, 3.0],
+    ])
+    return nodes, [[0, 1, 2, 3, 4, 5, 6, 7]]
+
+
+def pentagram_mesh():
+    """The {5/2} star: each vertex joined to the second next.  Its centroid is
+    left of every side, but the boundary winds around it twice."""
+    angles = 0.5 * np.pi + 0.4 * np.pi * np.arange(5)
+    return np.column_stack([np.cos(angles), np.sin(angles)]), [[0, 2, 4, 1, 3]]
+
+
 def double_hang_mesh():
     """Square with two collinear interior vertices on one side (invalid)."""
     nodes = np.array([

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrefine import (
+    CentroidNotInteriorError,
     DegeneratePolygonError,
     InvalidIndexError,
+    MeshError,
     MeshValidationError,
     NonManifoldEdgeError,
     TooDenseError,
@@ -27,9 +29,9 @@ from polyrefine.mesh_core import (
     Violation,
     _cycle_arrays,
     _duplicate_node_pairs,
-    _inside_flags,
     _polygon_tables,
     _simple_flags,
+    _star_flags,
 )
 
 from sample_meshes import (
@@ -47,6 +49,8 @@ from sample_meshes import (
     local_hanging,
     one_cell,
     pentagon_pair,
+    pentagram_mesh,
+    thick_u_mesh,
     two_squares,
 )
 
@@ -350,6 +354,9 @@ def malformed_meshes():
     yield pytest.param(sq, [[0, 1, 1, 2]], id="repeated")
     yield pytest.param(sq, [[0, 3, 2, 1]], id="clockwise")
     yield pytest.param(bowtie, [[0, 1, 2, 3]], id="bowtie")
+    # zero area with an infinite centroid coordinate, and a side parallel to each axis
+    hourglass = np.array([[0.5, 0.5], [0.5, 1.5], [1.0, 1.5], [0.0, 0.5]])
+    yield pytest.param(hourglass, [[0, 1, 2, 3]], id="hourglass")
     yield pytest.param(crossed, [[0, 1, 2, 3]], id="self-intersecting")
     yield pytest.param(*horseshoe_mesh(), id="horseshoe")
     yield pytest.param(np.vstack([sq, [1e-16, 0.0]]), [[0, 1, 2, 3]], id="duplicate-nodes")
@@ -462,6 +469,7 @@ class TestValidateMesh:
                 assert report.ok
                 assert report.violations == validate_mesh_oracle(nodes, elems).violations
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # degenerate cells included
     @pytest.mark.parametrize("nodes, elems", malformed_meshes())
     def test_matches_oracle_on_malformed_input(self, nodes, elems):
         report = validate_mesh(nodes, elems)
@@ -469,10 +477,87 @@ class TestValidateMesh:
         assert report.violations == validate_mesh_oracle(nodes, elems).violations
 
 
+@st.composite
+def star_shaped_meshes(draw):
+    """One cell with its vertices at sorted random angles and radii about a
+    random point, alone or glued along one side to a triangle outside it."""
+    L = draw(st.integers(3, 11))
+    gaps = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=L, max_size=L)))
+    angles = draw(st.floats(0.0, 2.0 * np.pi)) + 2.0 * np.pi * np.cumsum(gaps) / gaps.sum()
+    radii = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=L, max_size=L)))
+    centre = np.array(draw(st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))))
+    nodes = centre + radii[:, None] * np.column_stack([np.cos(angles), np.sin(angles)])
+    if not draw(st.booleans()):
+        return nodes, [list(range(L))]
+    # a side with every other vertex strictly left of its line has the cell
+    # on one side of that line; the triangle goes on the other
+    first = draw(st.integers(0, L - 1))
+    for k in (np.arange(L) + first) % L:
+        a, b = nodes[k], nodes[(k + 1) % L]
+        rest = np.delete(nodes, [k, (k + 1) % L], axis=0) - a
+        if ((b[0] - a[0]) * rest[:, 1] - (b[1] - a[1]) * rest[:, 0] > 1e-6).all():
+            apex = 0.5 * (a + b) + draw(st.floats(0.1, 1.0)) * np.array([b[1] - a[1], a[0] - b[0]])
+            return np.vstack([nodes, apex]), [list(range(L)), [int((k + 1) % L), int(k), L]]
+    return nodes, [list(range(L))]
+
+
+def shoelace_magnitude(nodes, elems):
+    """Half the sum of ``|x_i y_(i+1)| + |x_(i+1) y_i|`` over all cells, the size
+    of the terms the shoelace area rounds at.  It is of the order of the area
+    for a cell around the origin, and far larger for a thin cell far from it."""
+    total = 0.0
+    for cyc in elems:
+        v = nodes[cyc]
+        w = np.roll(v, -1, axis=0)
+        total += 0.5 * np.sum(np.abs(v[:, 0] * w[:, 1]) + np.abs(w[:, 0] * v[:, 1]))
+    return total
+
+
+class TestRefinable:
+    """``validate_mesh`` accepts a mesh exactly when ``refine`` can subdivide
+    it: every cell star-shaped about its centroid."""
+
+    @pytest.mark.parametrize("mesh, kind", [
+        pytest.param(thick_u_mesh(), "centroid-not-interior", id="thick-u"),
+        pytest.param(pentagram_mesh(), "self-intersection", id="pentagram"),
+    ])
+    def test_rejected_and_left_untouched(self, mesh, kind):
+        nodes, elems = mesh
+        kept = nodes.copy(), [list(c) for c in elems]
+        report = validate_mesh(nodes, elems)
+        assert [(v.kind, v.where) for v in report.violations] == [(kind, 0)]
+        assert report.violations == validate_mesh_oracle(nodes, elems).violations
+        with pytest.raises(CentroidNotInteriorError, match="element 0: not star-shaped about its centroid"):
+            refine(nodes, elems, [0])
+        assert np.array_equal(nodes, kept[0]) and elems == kept[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(star_shaped_meshes())
+    def test_valid_exactly_when_refinable(self, mesh):
+        nodes, elems = mesh
+        kept = nodes.copy(), [list(c) for c in elems]
+        report = validate_mesh(nodes, elems)
+        assert report.violations == validate_mesh_oracle(nodes, elems).violations
+        try:
+            out_nodes, out_elems = refine(nodes, elems, [0])
+        except MeshError:
+            assert not report.ok
+            assert np.array_equal(nodes, kept[0]) and elems == kept[1]
+            return
+        assert report.ok
+        # a dart-shaped subcell may not be refinable again, but is simple and counterclockwise
+        out = validate_mesh(out_nodes, out_elems).violations
+        assert {v.kind for v in out} <= {"centroid-not-interior"}
+        assert out == validate_mesh_oracle(out_nodes, out_elems).violations
+        tol = 1e-13 * shoelace_magnitude(nodes, elems)
+        assert mesh_area(out_nodes, out_elems) == pytest.approx(mesh_area(nodes, elems), rel=0.0, abs=tol)
+        assert check_conformity(out_nodes, out_elems) == []
+
+
 class TestPolygonKernels:
     def test_kernels_match_oracles(self):
-        # the plane kernels against the pair-by-pair (M, L, 2) kernels they
-        # replaced: flag for flag, and the diameter bit for bit
+        # the plane and flat kernels against stacked (M, L, 2) oracles: flag
+        # for flag, and the diameter bit for bit
         rng = np.random.default_rng(8)
         counts = np.zeros(4, dtype=np.int64)
         for L, V in kernel_polygons(rng).items():
@@ -484,9 +569,9 @@ class TestPolygonKernels:
             assert np.array_equal(simple, simple_flags_oracle(V, diam)), L
             counts += [simple.size, np.count_nonzero(~simple), 0, 0]
             for points in kernel_points(V, rng):
-                inside = _inside_flags(X, Y, diam, points)
-                assert np.array_equal(inside, inside_flags_oracle(V, diam, points)), L
-                counts += [0, 0, inside.size, np.count_nonzero(~inside)]
+                star = _star_flags(V.reshape(-1, 2), offsets, np.arange(offsets[-1]), points, diam)
+                assert np.array_equal(star, star_flags_oracle(V, diam, points)), L
+                counts += [0, 0, star.size, np.count_nonzero(~star)]
         # every kind of outcome is well represented
         assert counts[0] > 5000 and counts[1] > 1000
         assert counts[2] > 200000 and 20000 < counts[3] < counts[2] - 20000
@@ -603,9 +688,10 @@ def validate_mesh_oracle(nodes, elements):
         cen = np.stack(
             [((V + w)[keep, :, 0] * cr).sum(1), ((V + w)[keep, :, 1] * cr).sum(1)], axis=1
         ) / (6.0 * sa[keep])[:, None]
-        outside = ~inside_flags_oracle(V[keep], diam[keep], cen)
+        outside = ~star_flags_oracle(V[keep], diam[keep], cen)
         for i in idx[keep][outside]:
-            out.append(Violation("centroid-not-interior", int(i), "centroid is not strictly inside"))
+            out.append(Violation("centroid-not-interior", int(i),
+                                 "polygon is not star-shaped about its centroid"))
 
     traversed = {}
     for i in sorted(ccw):
@@ -671,22 +757,19 @@ def simple_flags_oracle(V: np.ndarray, diam: np.ndarray) -> np.ndarray:
     return ok
 
 
-def inside_flags_oracle(V: np.ndarray, diam: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Strict point-in-polygon for one test point per stacked polygon."""
+def star_flags_oracle(V: np.ndarray, diam: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Star-shapedness about one test point per stacked polygon: the point is
+    left of every side's line by more than ``1e-12 diam²``, and the winding
+    number, summed from the angles each side subtends at it, is 1."""
     a = V
     b = np.roll(V, -1, axis=1)
-    ab = b - a
     p = points[:, None, :]
-    L2 = np.maximum((ab * ab).sum(-1), 1e-300)
-    t = np.clip(((p - a) * ab).sum(-1) / L2, 0.0, 1.0)
-    proj = a + t[..., None] * ab
-    dist2 = ((p - proj) ** 2).sum(-1)
-    near = dist2.min(axis=1) <= (1e-12 * diam) ** 2
-    cond = (a[..., 1] > points[:, None, 1]) != (b[..., 1] > points[:, None, 1])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = a[..., 0] + (points[:, None, 1] - a[..., 1]) * ab[..., 0] / ab[..., 1]
-    crossings = np.count_nonzero(cond & (points[:, None, 0] < xi), axis=1)
-    return ~near & (crossings % 2 == 1)
+    cross = (b[..., 0] - a[..., 0]) * (p[..., 1] - a[..., 1]) \
+        - (b[..., 1] - a[..., 1]) * (p[..., 0] - a[..., 0])
+    u, w = a - p, b - p
+    turn = np.arctan2(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0], (u * w).sum(-1))
+    winding = np.rint(turn.sum(axis=1) / (2.0 * np.pi))
+    return (cross > (1e-12 * diam * diam)[:, None]).all(axis=1) & (winding == 1)
 
 
 def diameter_oracle(V: np.ndarray) -> np.ndarray:
@@ -865,7 +948,10 @@ def nonconforming_meshes():
 
 
 def vertex_index(v, n):
-    """The vertex-index rule, one entry at a time: ``v`` as an int, or -1."""
+    """The vertex-index rule, one entry at a time: ``v`` (a 0-d array as its
+    scalar) as an int, or -1."""
+    if isinstance(v, np.ndarray) and v.shape == ():
+        v = v.item() if v.dtype.kind in "biu" else None
     return int(v) if isinstance(v, (int, np.integer, np.bool_)) and 0 <= v < n else -1
 
 
@@ -877,18 +963,23 @@ def numpy_ints(t):
     return st.one_of(st.integers(max(int(info.min), -3), 12), st.integers(int(info.min), int(info.max))).map(t)
 
 
-# entries numpy reads as integers, alone or mixed (uint64 above 2**63 included)
+# entries numpy reads as integers, alone or mixed (uint64 above 2**63 included),
+# as scalars or as 0-d arrays
 INTEGER_ENTRIES = st.one_of(
     st.integers(-3, 12),
     st.booleans(),
     st.booleans().map(np.bool_),
     st.sampled_from(NUMPY_INTS).flatmap(numpy_ints),
+    st.integers(-3, 12).map(np.array),
+    st.sampled_from(NUMPY_INTS).flatmap(numpy_ints).map(np.array),
 )
 ENTRIES = st.one_of(
     INTEGER_ENTRIES,
     st.integers(-2**70, 2**70),
     st.floats(),
     st.integers(0, 12).map(float),
+    st.floats().map(np.array),
+    st.integers(0, 12).map(float).map(np.array),
     st.integers(0, 12).map(str),
     st.none(),
     st.lists(st.integers(0, 12), max_size=2),
@@ -910,17 +1001,20 @@ class TestVertexIndexRule:
 
     @pytest.mark.parametrize("entry", [4.7, "4", np.float64(4.0), None, [4], 10**30, -1, 9], ids=repr)
     def test_every_entry_point_rejects_a_non_index(self, entry):
-        nodes, elems = structured_quad_mesh(2)
-        elems[0] = [0, 1, entry, 3]
+        # the same verdict whether or not element 1 spells vertex 4 as a 0-d array
         u, f = gaussian_peak_problem()
-        for call in (build_topology, mesh_area, check_conformity,
-                     lambda n, e: refine(n, e, [1]),
-                     lambda n, e: refine(n, e, []),
-                     lambda n, e: adaptive_loop(n, e, f, u, max_steps=0)):
-            with pytest.raises(InvalidIndexError, match="element 0"):
-                call(nodes, elems)
-        report = validate_mesh(nodes, elems)
-        assert [(v.kind, v.where) for v in report.violations] == [("invalid-index", 0)]
+        for four in (4, np.array(4)):
+            nodes, elems = structured_quad_mesh(2)
+            elems[0] = [0, 1, entry, 3]
+            elems[1] = [1, 2, 5, four]
+            for call in (build_topology, mesh_area, check_conformity,
+                         lambda n, e: refine(n, e, [1]),
+                         lambda n, e: refine(n, e, []),
+                         lambda n, e: adaptive_loop(n, e, f, u, max_steps=0)):
+                with pytest.raises(InvalidIndexError, match="element 0"):
+                    call(nodes, elems)
+            report = validate_mesh(nodes, elems)
+            assert [(v.kind, v.where) for v in report.violations] == [("invalid-index", 0)]
 
 
 def test_structured_quad_mesh_shapes():
