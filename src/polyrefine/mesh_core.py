@@ -215,6 +215,13 @@ def _degenerate(area, diameter):
     return np.abs(area) < 1e-14 * diameter * diameter
 
 
+def _require_indices(offsets, cycles):
+    """Raise ``InvalidIndexError`` for the first element with an entry that is not a vertex index."""
+    bad = np.flatnonzero(cycles < 0)
+    if bad.size:
+        raise InvalidIndexError(f"element {_cycle_owners(offsets)[bad[0]]}: an entry is not a vertex index")
+
+
 def _checked_tables(nodes, elements):
     """Flat cycle arrays and ``_polygon_tables`` of an element table that must be
     valid: raises ``DegeneratePolygonError`` or ``InvalidIndexError`` on the first bad element."""
@@ -223,9 +230,7 @@ def _checked_tables(nodes, elements):
     short = np.flatnonzero(lengths < 3)
     if short.size:
         raise DegeneratePolygonError(f"element {int(short[0])} has {int(lengths[short[0]])} vertices")
-    bad = np.flatnonzero(cycles < 0)
-    if bad.size:
-        raise InvalidIndexError(f"element {_cycle_owners(offsets)[bad[0]]}: an entry is not a vertex index")
+    _require_indices(offsets, cycles)
     area, centroid, diameter = _polygon_tables(nodes, offsets, cycles)
     bad = _degenerate(area, diameter)
     if bad.any():
@@ -368,12 +373,15 @@ def _duplicate_node_pairs(nodes, radius):
 
     Grid hashing on 4 shifted lattices: the nodes of one lattice cell form a
     run of the sorted cell keys, and its pairs are the positions ``k = 1, 2,
-    ...`` apart with equal keys, up to the longest run.
+    ...`` apart with equal keys, up to the longest run.  Cells are counted
+    from the bounding box corner, so the keys of a mesh far from the origin
+    stay in int64 range.
     """
     n = len(nodes)
+    local = nodes - nodes.min(axis=0)
     found = [np.zeros(0, dtype=np.int64)]
     for shift in ((0.0, 0.0), (0.0, radius), (radius, 0.0), (radius, radius)):
-        kx, ky = np.floor((nodes + shift) / (2.0 * radius)).astype(np.int64).T
+        kx, ky = np.floor((local + shift) / (2.0 * radius)).astype(np.int64).T
         order = np.lexsort((ky, kx))
         kx, ky = kx[order], ky[order]
         for k in range(1, n):
@@ -564,9 +572,6 @@ def structured_quad_mesh(nx: int, ny: int | None = None, origin=(0.0, 0.0)):
     ys = y0 + np.arange(ny + 1) / ny
     X, Y = np.meshgrid(xs, ys)
     nodes = np.column_stack([X.ravel(), Y.ravel()])
-    elements = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = iy * (nx + 1) + ix
-            elements.append([v00, v00 + 1, v00 + nx + 2, v00 + nx + 1])
-    return nodes, elements
+    v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    elements = np.column_stack([v00, v00 + 1, v00 + nx + 2, v00 + nx + 1])
+    return nodes, elements.tolist()

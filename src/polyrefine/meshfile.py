@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh_core import MeshError, ValidationReport, validate_mesh
+from .mesh_core import (MeshError, ValidationReport, _as_nodes, _cycle_arrays, _cycle_lists,
+                        _require_indices, validate_mesh)
 
 FORMAT_NAME = "polymesh"
 FORMAT_VERSION = 1
@@ -98,12 +99,15 @@ def load_mesh(path):
 
 
 def save_mesh(nodes, elements, path) -> None:
-    """Write a mesh with full (round-trip) coordinate precision."""
-    nodes = np.asarray(nodes, dtype=float)
+    """Write a mesh with full (round-trip) coordinate precision; raises
+    ``InvalidIndexError``, writing nothing, if an entry is not a vertex index."""
+    nodes = _as_nodes(nodes)
+    offsets, cycles = _cycle_arrays(elements, len(nodes))
+    _require_indices(offsets, cycles)
     out = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"nodes {len(nodes)}"]
-    out += [f"{float(x)!r} {float(y)!r}" for x, y in nodes]
+    out += [f"{x!r} {y!r}" for x, y in nodes.tolist()]
     out.append(f"elements {len(elements)}")
-    out += [" ".join(str(int(v)) for v in cycle) for cycle in elements]
+    out += [" ".join(map(str, c)) for c in _cycle_lists(offsets, cycles)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(out) + "\n")
 

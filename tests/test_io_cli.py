@@ -219,6 +219,15 @@ class TestCli:
         assert cli_main(["render", "--in", src, "--out", str(out), "--field", str(fld)]) == 0
         assert "#" in out.read_text()
 
+    def test_render_rejects_a_field_of_the_wrong_length(self, tmp_path, capsys):
+        src = write_square(tmp_path / "in.mesh")
+        fld = tmp_path / "f.txt"
+        save_field([0.0, 1.0, 2.0], fld)
+        out = tmp_path / "m.svg"
+        assert cli_main(["render", "--in", src, "--out", str(out), "--field", str(fld)]) == 1
+        assert capsys.readouterr().err == "error: field has 3 values for 4 nodes\n"
+        assert not out.exists()
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         rc = cli_main(["render", "--in", str(tmp_path / "nope.mesh"), "--out", str(tmp_path / "x.svg")])
         assert rc == 1

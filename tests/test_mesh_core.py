@@ -20,6 +20,7 @@ from polyrefine import (
     load_mesh,
     mesh_area,
     refine,
+    render_svg,
     save_mesh,
     structured_quad_mesh,
     validate_mesh,
@@ -593,6 +594,16 @@ class TestDuplicateNodePairs:
         assert pairs == brute_force_pairs(nodes, tol)
         assert len(pairs) >= 8
 
+    @pytest.mark.parametrize("offset", [1e8, 1e12])
+    def test_moved_far_from_the_origin(self, offset):
+        # raw coordinates over 2 * tol overflow int64 lattice keys at these offsets
+        nodes = structured_quad_mesh(24)[0] + offset
+        nodes = np.vstack([nodes, nodes[[0, 100, 200, 300, 624]]])
+        tol = 1e-12 * float(np.hypot(*np.ptp(nodes, axis=0)))
+        pairs = _duplicate_node_pairs(nodes, tol)
+        assert pairs == brute_force_pairs(nodes, tol)
+        assert pairs == [(0, 625), (100, 626), (200, 627), (300, 628), (624, 629)]
+
     def test_exact_duplicates_and_single_node(self):
         nodes = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         assert _duplicate_node_pairs(nodes, 1e-12) == [(0, 2), (0, 3), (2, 3)]
@@ -1000,7 +1011,7 @@ class TestVertexIndexRule:
         assert cycles.tolist() == [vertex_index(v, n) for cyc in elements for v in cyc]
 
     @pytest.mark.parametrize("entry", [4.7, "4", np.float64(4.0), None, [4], 10**30, -1, 9], ids=repr)
-    def test_every_entry_point_rejects_a_non_index(self, entry):
+    def test_every_entry_point_rejects_a_non_index(self, entry, tmp_path):
         # the same verdict whether or not element 1 spells vertex 4 as a 0-d array
         u, f = gaussian_peak_problem()
         for four in (4, np.array(4)):
@@ -1010,9 +1021,12 @@ class TestVertexIndexRule:
             for call in (build_topology, mesh_area, check_conformity,
                          lambda n, e: refine(n, e, [1]),
                          lambda n, e: refine(n, e, []),
-                         lambda n, e: adaptive_loop(n, e, f, u, max_steps=0)):
+                         lambda n, e: adaptive_loop(n, e, f, u, max_steps=0),
+                         lambda n, e: save_mesh(n, e, tmp_path / "bad.mesh"),
+                         lambda n, e: render_svg(n, e, tmp_path / "bad.svg")):
                 with pytest.raises(InvalidIndexError, match="element 0"):
                     call(nodes, elems)
+            assert list(tmp_path.iterdir()) == []
             report = validate_mesh(nodes, elems)
             assert [(v.kind, v.where) for v in report.violations] == [("invalid-index", 0)]
 
