@@ -70,7 +70,8 @@ def star_shaped(points):
 
 
 def fan_area_centroid(pts, c):
-    """Triangulation-fan oracle for area and centroid of a star-shaped polygon."""
+    """Triangulation-fan oracle for area and centroid of a star-shaped polygon.
+    A polygon of zero area has no centroid: it comes back as NaN."""
     area = 0.0
     cen = np.zeros(2)
     for i in range(len(pts)):
@@ -78,7 +79,7 @@ def fan_area_centroid(pts, c):
         tri = 0.5 * ((a[0] - c[0]) * (b[1] - c[1]) - (b[0] - c[0]) * (a[1] - c[1]))
         area += tri
         cen += tri * (a + b + c) / 3.0
-    return abs(area), cen / area
+    return abs(area), (cen / area if area != 0.0 else np.full(2, np.nan))
 
 
 class TestBuildTopology:
