@@ -56,17 +56,16 @@ def estimate(nodes, elements, topology: MeshTopology, u, f) -> np.ndarray:
     eta2 += h * h * np.abs(area) * fc * fc
 
     interior = ~topology.boundary_edge_mask()
-    if interior.any():
-        e = topology.edge[interior]
-        ab = nodes[e[:, 1]] - nodes[e[:, 0]]
-        len2 = np.sum(ab * ab, axis=1)
-        nhat = np.column_stack([ab[:, 1], -ab[:, 0]]) / np.sqrt(len2)[:, None]
-        ia = topology.edge2elem[interior, 0]
-        ib = topology.edge2elem[interior, 1]
-        jump = (gx[ia] - gx[ib]) * nhat[:, 0] + (gy[ia] - gy[ib]) * nhat[:, 1]
-        contrib = 0.5 * len2 * jump * jump  # h_e * |e| * jump^2, halved per side
-        np.add.at(eta2, ia, contrib)
-        np.add.at(eta2, ib, contrib)
+    e = topology.edge[interior]
+    ab = nodes[e[:, 1]] - nodes[e[:, 0]]
+    len2 = np.sum(ab * ab, axis=1)
+    nhat = np.column_stack([ab[:, 1], -ab[:, 0]]) / np.sqrt(len2)[:, None]
+    ia = topology.edge2elem[interior, 0]
+    ib = topology.edge2elem[interior, 1]
+    jump = (gx[ia] - gx[ib]) * nhat[:, 0] + (gy[ia] - gy[ib]) * nhat[:, 1]
+    contrib = 0.5 * len2 * jump * jump  # h_e * |e| * jump^2, halved per side
+    np.add.at(eta2, ia, contrib)
+    np.add.at(eta2, ib, contrib)
     return np.sqrt(eta2)
 
 
@@ -90,8 +89,6 @@ def dorfler_mark(eta, theta: float) -> np.ndarray:
         raise ValueError("indicators must be finite and nonnegative")
     eta2 = eta * eta
     total = float(eta2.sum())
-    if total == 0.0:
-        return np.empty(0, dtype=np.int64)
     order = np.argsort(-eta2, kind="stable")
     npos = int(np.count_nonzero(eta2))
     order = order[:npos]

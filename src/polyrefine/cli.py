@@ -67,7 +67,7 @@ def _cmd_refine(args) -> int:
     nodes, elements = load_mesh(args.infile)
     if args.marks_file is not None:
         with open(args.marks_file, "r", encoding="utf-8") as fh:
-            passes = [_parse_marked(ln) for ln in fh if ln.strip()]
+            passes = [_parse_marked(ln.strip()) for ln in fh if ln.strip()]
     else:
         passes = [_parse_marked(args.marked)]
     for marked in passes:

@@ -283,16 +283,10 @@ def build_topology(nodes, elements) -> MeshTopology:
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
     # the one hanging-node test: within HANGING_TOL_REL diameters of the neighbours' midpoint
-    v = nodes[conc]
+    d = nodes[conc] - 0.5 * (nodes[conc[prv]] + nodes[conc[nxt]])
     tol = np.repeat(HANGING_TOL_REL * diameter, np.diff(offsets))
-    hanging = _midpoint_error(v, v[prv], v[nxt]) < tol
+    hanging = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < tol  # np.linalg.norm's bits, in half its time
     return MeshTopology(edge, edge2elem, area, centroid, diameter, offsets, conc, inv, hanging)
-
-
-def _midpoint_error(v, prev, nxt) -> np.ndarray:
-    # the bits of np.linalg.norm(d, axis=1), in half its time
-    d = v - 0.5 * (prev + nxt)
-    return np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
 
 
 def _simple_flags(X: np.ndarray, Y: np.ndarray, diam: np.ndarray) -> np.ndarray:
@@ -443,7 +437,8 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     gcycles = conc[passed[owner]]
     # edges of more than two of them, keyed a * N + b (a < b) as in build_topology
     a, b = gcycles, gcycles[_cycle_shifts(goffsets)[1]]
-    keys, counts = np.unique(np.minimum(a, b) * N + np.maximum(a, b), return_counts=True)
+    keys, uses, counts = np.unique(np.minimum(a, b) * N + np.maximum(a, b),
+                                   return_inverse=True, return_counts=True)
     crowded = counts > 2
     for k, c in zip(keys[crowded].tolist(), counts[crowded].tolist()):
         out.append(Violation("non-manifold-edge", (k // N, k % N), f"edge shared by {c} elements"))
@@ -451,20 +446,20 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     degenerate = _degenerate(area, diam)
     clockwise = ~degenerate & (area < 0)
     live = ~degenerate & ~clockwise
-    # an edge of two elements that both traverse it in the same direction:
-    # their interiors overlap along it (edges of more than two are reported above)
-    directed = np.sort((a * N + b)[np.repeat(live, np.diff(goffsets))])
-    twice = np.unique(directed[1:][directed[1:] == directed[:-1]])
-    tail, head = twice // N, twice % N
-    twice = twice[~np.isin(np.minimum(tail, head) * N + np.maximum(tail, head), keys[crowded])]
+    # an edge of exactly two elements that both traverse it in the same direction: their
+    # interiors overlap along it.  No directed key occurs thrice, so the repeats are unique
+    directed = np.sort((a * N + b)[np.repeat(live, np.diff(goffsets)) & (counts[uses] == 2)])
+    twice = directed[1:][directed[1:] == directed[:-1]]
     out.extend(Violation("overlap", (k // N, k % N), "edge traversed in the same direction by two elements")
                for k in twice.tolist())
+    with np.errstate(invalid="ignore"):  # degenerate cells have inf/nan centroids
+        outside = live & ~_star_flags(nodes, goffsets, gcycles, centroid, diam)
+    # star-shaped implies simple, so only the rejected cells can be tangled
     x, y = nodes.T
     tangled = np.zeros(len(geometric), dtype=bool)
-    for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(live)):
+    for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(outside)):
         tangled[idx] = ~_simple_flags(x[cyc], y[cyc], diam[idx])
-    with np.errstate(invalid="ignore"):  # degenerate cells have inf/nan centroids
-        outside = live & ~tangled & ~_star_flags(nodes, goffsets, gcycles, centroid, diam)
+    outside &= ~tangled
 
     for kind, elems, detail in (
         ("invalid-index", np.flatnonzero(invalid), "vertex index out of range"),
@@ -484,9 +479,9 @@ def check_conformity(nodes, elements, topology: MeshTopology | None = None) -> l
     """Hanging-node conformity violations (empty list = conforming).
 
     Checks that (a) no straight boundary run of an element carries more
-    than one interior node, (b) every hanging node is the exact midpoint of
-    its collinear parent edge, and (c) no mesh node sits in the interior of
-    an unmatched (topologically boundary) element side.
+    than one interior node, (b) every hanging node is the midpoint of its
+    collinear parent edge (``MeshTopology.hanging``), and (c) no mesh node sits
+    in the interior of an unmatched (topologically boundary) element side.
     """
     nodes = _as_nodes(nodes)
     topo = topology if topology is not None else build_topology(nodes, elements)
@@ -503,9 +498,8 @@ def check_conformity(nodes, elements, topology: MeshTopology | None = None) -> l
     flat = (off < 1e-8 * d * np.where(clen > 0, clen, 1.0)) & \
            (np.sum((v - prev) * chord, axis=1) > 0) & \
            (np.sum((v - nxtv) * -chord, axis=1) > 0)
-    drift = _midpoint_error(v, prev, nxtv)
     double = flat & flat[nxt]
-    off_mid = flat & ~flat[prv] & ~flat[nxt] & (drift > HANGING_TOL_REL * d)
+    off_mid = flat & ~flat[prv] & ~flat[nxt] & ~topo.hanging
     # per element: the double-hang report first, then off-midpoint nodes in cycle order
     found = [(int(i), -1) for i in np.unique(owner[double])]
     found += [(int(owner[p]), int(p)) for p in np.flatnonzero(off_mid)]

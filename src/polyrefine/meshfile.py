@@ -41,7 +41,10 @@ class MeshValidationError(MeshError):
 def read_mesh_file(path):
     """Parse a mesh file without validating the mesh it describes."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+        try:
+            lines = [ln.strip() for ln in fh]
+        except UnicodeDecodeError as exc:
+            raise MeshParseError(f"{path} is not UTF-8 text: {exc}") from exc
     lines = [ln for ln in lines if ln]
     pos = 0
 
@@ -119,8 +122,13 @@ def save_field(values, path) -> None:
 
 
 def load_field(path) -> np.ndarray:
+    """One scalar per non-blank line; raises ``MeshParseError`` unless each is a finite number."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return np.array([float(ln) for ln in fh if ln.strip()])
-        except ValueError as exc:
+            values = np.array([float(ln) for ln in fh if ln.strip()])
+        except ValueError as exc:  # UnicodeDecodeError is one too
             raise MeshParseError(f"bad field file {path}: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise MeshParseError(f"bad field file {path}: value {int(bad[0])} is {float(values[bad[0]])}, not finite")
+    return values

@@ -11,10 +11,8 @@ def _fmt(v: float) -> str:
     return f"{v:.8g}"
 
 
-def _ramp(t: float) -> str:
-    """Linear blue-to-red ramp."""
-    r = int(round(255 * t))
-    return f"#{r:02x}00{255 - r:02x}"
+# linear blue-to-red ramp, indexed by the red level
+_RAMP = [f"#{r:02x}00{255 - r:02x}" for r in range(256)]
 
 
 def render_svg(nodes, elements, path, values=None) -> None:
@@ -24,7 +22,8 @@ def render_svg(nodes, elements, path, values=None) -> None:
     mean of its vertex values through a linear color ramp.  The viewport is
     the mesh bounding box with a 2% margin; strokes are 0.2% of the box
     diagonal.  Output bytes depend only on the inputs.  Raises
-    ``InvalidIndexError`` if an element entry is not a vertex index.
+    ``InvalidIndexError`` if an element entry is not a vertex index, and
+    ``ValueError`` unless ``values`` holds one finite number per vertex.
     """
     nodes = _as_nodes(nodes)
     offsets, cycles = _cycle_arrays(elements, len(nodes))
@@ -39,17 +38,18 @@ def render_svg(nodes, elements, path, values=None) -> None:
     # flip vertically inside the box so y grows upward in the image
     ysum = (lo[1] - margin[1]) + (hi[1] + margin[1])
 
-    fills = None
+    fills = ["none"] * (len(offsets) - 1)
     if values is not None:
         values = np.asarray(values, dtype=float)
-        if len(values) != len(nodes):
-            raise ValueError("need one value per vertex")
-        per_elem = np.empty(len(offsets) - 1)  # row means sum in the order a per-cycle mean does
+        if len(values) != len(nodes) or not np.isfinite(values).all():
+            raise ValueError("need one finite value per vertex")
+        per_elem = np.empty(len(fills))  # row means sum in the order a per-cycle mean does
         for idx, cyc in _length_groups(offsets, cycles, np.arange(len(per_elem))):
             per_elem[idx] = values[cyc].mean(axis=1)
         vmin, vmax = float(per_elem.min()), float(per_elem.max())
         den = vmax - vmin if vmax > vmin else 1.0
-        fills = [(v - vmin) / den for v in per_elem]
+        red = np.rint(255 * ((per_elem - vmin) / den)).astype(np.int64)  # half to even, as round does
+        fills = [_RAMP[r] for r in red.tolist()]
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -57,9 +57,8 @@ def render_svg(nodes, elements, path, values=None) -> None:
         f'<g stroke="#000000" stroke-width="{_fmt(stroke)}" stroke-linejoin="round">',
     ]
     points = [f"{_fmt(x)},{_fmt(ysum - y)}" for x, y in nodes.tolist()]
-    for i, cycle in enumerate(_cycle_lists(offsets, cycles)):
+    for cycle, fill in zip(_cycle_lists(offsets, cycles), fills):
         pts = " ".join([points[v] for v in cycle])
-        fill = _ramp(fills[i]) if fills is not None else "none"
         out.append(f'<polygon points="{pts}" fill="{fill}"/>')
     out += ["</g>", "</svg>"]
     with open(path, "w", encoding="utf-8") as fh:

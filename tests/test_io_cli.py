@@ -103,6 +103,13 @@ class TestMeshFile:
         save_field(vals, p)
         assert np.array_equal(load_field(p), vals)
 
+    @pytest.mark.parametrize("text, shown", [("nan", "nan"), ("1e400", "inf"), ("-inf", "-inf")])
+    def test_field_with_a_non_finite_value_is_a_parse_error(self, tmp_path, text, shown):
+        p = tmp_path / "f.txt"
+        p.write_text(f"0\n1\n{text}\n2\nnan\n")
+        with pytest.raises(MeshParseError, match=f"value 2 is {shown}, not finite"):
+            load_field(p)
+
 
 class TestRenderSvg:
     def test_single_square_one_polygon(self, tmp_path):
@@ -136,6 +143,13 @@ class TestRenderSvg:
     def test_bad_field_length(self, tmp_path):
         with pytest.raises(ValueError):
             render_svg(SQUARE_NODES, SQUARE_ELEMS, tmp_path / "x.svg", values=[1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_rejected_before_writing(self, tmp_path, bad):
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="need one finite value per vertex"):
+            render_svg(SQUARE_NODES, SQUARE_ELEMS, out, values=[0.0, 1.0, bad, 2.0])
+        assert not out.exists()
 
 
 class TestCli:
@@ -226,6 +240,38 @@ class TestCli:
         out = tmp_path / "m.svg"
         assert cli_main(["render", "--in", src, "--out", str(out), "--field", str(fld)]) == 1
         assert capsys.readouterr().err == "error: field has 3 values for 4 nodes\n"
+        assert not out.exists()
+
+    def test_render_rejects_a_non_finite_field(self, tmp_path, capsys):
+        src = write_square(tmp_path / "in.mesh")
+        fld = tmp_path / "f.txt"
+        fld.write_text("0\n1\nnan\n2\n")
+        out = tmp_path / "m.svg"
+        assert cli_main(["render", "--in", src, "--out", str(out), "--field", str(fld)]) == 1
+        assert capsys.readouterr().err == f"parse error: bad field file {fld}: value 2 is nan, not finite\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["quality"], ["refine", "--marked", "0", "--out", "out"], ["adapt", "--out-prefix", "out"],
+        ["render", "--out", "out"],
+    ], ids=lambda c: c[0])
+    def test_non_utf8_mesh_file_is_a_parse_error(self, tmp_path, capsys, command):
+        src = tmp_path / "in.mesh"
+        src.write_bytes(b"polymesh 1\nnodes 4\n0 0\n1 0\n1 1\n0 \xe9\nelements 1\n0 1 2 3\n")
+        command = [str(tmp_path / a) if a == "out" else a for a in command]
+        assert cli_main([command[0], "--in", str(src), *command[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {src} is not UTF-8 text: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [src]
+
+    def test_bad_marks_file_line_is_one_line(self, tmp_path, capsys):
+        src = write_square(tmp_path / "in.mesh")
+        marks = tmp_path / "marks.txt"
+        marks.write_text("0\n0,x\n")
+        out = tmp_path / "out.mesh"
+        assert cli_main(["refine", "--in", src, "--marks-file", str(marks), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "parse error: bad marked list '0,x': invalid literal for int() with base 10: 'x'\n"
         assert not out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):

@@ -29,7 +29,9 @@ from polyrefine.mesh_core import (
     ValidationReport,
     Violation,
     _cycle_arrays,
+    _degenerate,
     _duplicate_node_pairs,
+    _length_groups,
     _polygon_tables,
     _simple_flags,
     _star_flags,
@@ -554,6 +556,42 @@ class TestRefinable:
         tol = 1e-13 * shoelace_magnitude(nodes, elems)
         assert mesh_area(out_nodes, out_elems) == pytest.approx(mesh_area(nodes, elems), rel=0.0, abs=tol)
         assert check_conformity(out_nodes, out_elems) == []
+
+
+def star_cells_not_simple(nodes, offsets, cycles):
+    """Live cells (counterclockwise, not degenerate) that ``_star_flags``
+    accepts about their centroid and ``_simple_flags`` rejects, and the
+    number of star-shaped live cells checked."""
+    area, centroid, diam = _polygon_tables(nodes, offsets, cycles)
+    live = ~_degenerate(area, diam) & (area > 0)
+    with np.errstate(invalid="ignore"):  # degenerate cells have inf/nan centroids
+        star = live & _star_flags(nodes, offsets, cycles, centroid, diam)
+    x, y = nodes.T
+    bad = [idx[~_simple_flags(x[cyc], y[cyc], diam[idx])]
+           for idx, cyc in _length_groups(offsets, cycles, np.flatnonzero(star))]
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + bad), int(star.sum())
+
+
+class TestStarImpliesSimple:
+    """``validate_mesh`` runs ``_simple_flags`` only on the cells that
+    ``_star_flags`` rejects, so no star-shaped cell may be tangled."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_kernel_polygons(self, seed):
+        checked = 0
+        for L, V in kernel_polygons(np.random.default_rng(seed)).items():
+            offsets = np.arange(len(V) + 1) * L
+            bad, n = star_cells_not_simple(V.reshape(-1, 2), offsets, np.arange(offsets[-1]))
+            assert bad.size == 0, (L, V[bad[:3]])
+            checked += n
+        assert checked > 2500
+
+    @settings(max_examples=300, deadline=None)
+    @given(star_shaped_meshes())
+    def test_star_shaped_meshes(self, mesh):
+        nodes, elems = mesh
+        bad, _ = star_cells_not_simple(nodes, *_cycle_arrays(elems, len(nodes)))
+        assert bad.size == 0
 
 
 class TestPolygonKernels:
