@@ -28,6 +28,7 @@ from .mesh_core import (
 from .meshfile import (
     MeshParseError,
     MeshValidationError,
+    _read_lines,
     load_field,
     load_mesh,
     read_mesh_file,
@@ -66,8 +67,7 @@ def _checked(convert, ok, what: str):
 def _cmd_refine(args) -> int:
     nodes, elements = load_mesh(args.infile)
     if args.marks_file is not None:
-        with open(args.marks_file, "r", encoding="utf-8") as fh:
-            passes = [_parse_marked(ln.strip()) for ln in fh if ln.strip()]
+        passes = [_parse_marked(ln) for ln in _read_lines(args.marks_file)[0]]
     else:
         passes = [_parse_marked(args.marked)]
     for marked in passes:
@@ -130,8 +130,7 @@ def _cmd_render(args) -> int:
     nodes, elements = load_mesh(args.infile)
     values = load_field(args.field) if args.field else None
     if values is not None and len(values) != len(nodes):
-        print(f"error: field has {len(values)} values for {len(nodes)} nodes", file=sys.stderr)
-        return 1
+        raise MeshError(f"field has {len(values)} values for {len(nodes)} nodes")
     render_svg(nodes, elements, args.out, values=values)
     print(f"rendered {len(elements)} polygons -> {args.out}")
     return 0

@@ -38,14 +38,20 @@ class MeshValidationError(MeshError):
         self.report = report
 
 
+def _read_lines(path):
+    """The stripped non-blank lines of a UTF-8 text file, and the file's own 1-based number of each."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise MeshParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    numbers = [k for k, ln in enumerate(lines, 1) if ln]
+    return [ln for ln in lines if ln], numbers
+
+
 def read_mesh_file(path):
     """Parse a mesh file without validating the mesh it describes."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            lines = [ln.strip() for ln in fh]
-        except UnicodeDecodeError as exc:
-            raise MeshParseError(f"{path} is not UTF-8 text: {exc}") from exc
-    lines = [ln for ln in lines if ln]
+    lines, numbers = _read_lines(path)
     pos = 0
 
     def take(expect: str):
@@ -55,19 +61,19 @@ def read_mesh_file(path):
         parts = lines[pos].split()
         pos += 1
         if parts[0] != expect:
-            raise MeshParseError(f"line {pos}: expected '{expect}', got '{parts[0]}'")
+            raise MeshParseError(f"line {numbers[pos - 1]}: expected '{expect}', got '{parts[0]}'")
         return parts[1:]
 
     def block(expect: str):
-        """Line number of the header ``expect <count>`` and the ``count`` lines below it."""
+        """Index of the first of the ``count`` lines below the header ``expect <count>``, and those lines."""
         nonlocal pos
         head = take(expect)
         try:
             (n,) = map(int, head)
         except ValueError as exc:
-            raise MeshParseError(f"line {pos}: '{expect}' needs one integer count") from exc
+            raise MeshParseError(f"line {numbers[pos - 1]}: '{expect}' needs one integer count") from exc
         if not 0 <= n <= len(lines) - pos:
-            raise MeshParseError(f"line {pos}: {expect} count {n} is not in [0, {len(lines) - pos}]")
+            raise MeshParseError(f"line {numbers[pos - 1]}: {expect} count {n} is not in [0, {len(lines) - pos}]")
         pos += n
         return pos - n, lines[pos - n:pos]
 
@@ -77,18 +83,18 @@ def read_mesh_file(path):
     at, rows = block("nodes")
     bad = next((k for k, row in enumerate(rows) if len(row.split()) != 2), None)
     if bad is not None:
-        raise MeshParseError(f"line {at + 1 + bad}: a node needs 2 coordinates, got {len(rows[bad].split())}")
+        raise MeshParseError(f"line {numbers[at + bad]}: a node needs 2 coordinates, got {len(rows[bad].split())}")
     try:
         nodes = np.array(" ".join(rows).split(), dtype=float).reshape(-1, 2)
     except ValueError as exc:
-        raise MeshParseError(f"node block below line {at}: {exc}") from exc
+        raise MeshParseError(f"node block below line {numbers[at - 1]}: {exc}") from exc
     at, rows = block("elements")
     try:
         elements = [list(map(int, row.split())) for row in rows]
     except ValueError as exc:
-        raise MeshParseError(f"element block below line {at}: {exc}") from exc
+        raise MeshParseError(f"element block below line {numbers[at - 1]}: {exc}") from exc
     if pos != len(lines):
-        raise MeshParseError(f"trailing content at line {pos + 1}")
+        raise MeshParseError(f"trailing content at line {numbers[pos]}")
     return nodes, elements
 
 
@@ -123,11 +129,10 @@ def save_field(values, path) -> None:
 
 def load_field(path) -> np.ndarray:
     """One scalar per non-blank line; raises ``MeshParseError`` unless each is a finite number."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            values = np.array([float(ln) for ln in fh if ln.strip()])
-        except ValueError as exc:  # UnicodeDecodeError is one too
-            raise MeshParseError(f"bad field file {path}: {exc}") from exc
+    try:
+        values = np.array([float(ln) for ln in _read_lines(path)[0]])
+    except ValueError as exc:
+        raise MeshParseError(f"bad field file {path}: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise MeshParseError(f"bad field file {path}: value {int(bad[0])} is {float(values[bad[0]])}, not finite")

@@ -43,6 +43,8 @@ def render_svg(nodes, elements, path, values=None) -> None:
         values = np.asarray(values, dtype=float)
         if len(values) != len(nodes) or not np.isfinite(values).all():
             raise ValueError("need one finite value per vertex")
+        # scaled by a power of two to |v| < 1: exact, and no cell mean or spread of means overflows
+        values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
         per_elem = np.empty(len(fills))  # row means sum in the order a per-cycle mean does
         for idx, cyc in _length_groups(offsets, cycles, np.arange(len(per_elem))):
             per_elem[idx] = values[cyc].mean(axis=1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,11 @@ from polyrefine.cli import cli_main
 from polyrefine.meshfile import load_field, save_field
 
 from sample_meshes import SQUARE_ELEMS, SQUARE_NODES, cascade_mesh, prismatic_pentagon_patch
+
+
+# two squares that share no node
+APART_NODES = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [3, 0], [3, 1], [2, 1]]
+APART_ELEMS = [[0, 1, 2, 3], [4, 5, 6, 7]]
 
 
 def write_square(path):
@@ -82,6 +89,21 @@ class TestMeshFile:
                      id="three-values"),
         pytest.param("polymesh 1\nnodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2.0\n", "element block",
                      id="non-integer-entry"),
+        pytest.param("polymesh 1\n", "unexpected end of file, expected 'nodes'", id="ends-after-header"),
+        pytest.param("polymesh 1\nnodes 2\n0 0\n1 x\nelements 0\n",
+                     "node block below line 2: could not convert string to float: 'x'", id="coordinate-x"),
+        pytest.param("polymesh 1\nnodes 3\n0 0\n1 0\n0 1\nelements 1\n0 1 2\n0 1\n", "trailing content at line 8",
+                     id="trailing-content"),
+        # blank lines count: messages cite the file's own line numbers
+        pytest.param("polymesh 1\n\n\nnodes 2\n0 0\n1\nelements 0\n",
+                     "line 6: a node needs 2 coordinates, got 1", id="blank-lines-bad-node-row"),
+        pytest.param("\npolymesh 1\nnodes 1\n0 0\n\n  \nelemnts 0\n", "line 7: expected 'elements', got 'elemnts'",
+                     id="blank-lines-bad-header"),
+        pytest.param("polymesh 1\n\nnodes x\n", "line 3: 'nodes' needs one integer count", id="blank-lines-bad-count"),
+        pytest.param("polymesh 1\n\nnodes 1\n\n0 y\nelements 0\n", "node block below line 3",
+                     id="blank-lines-bad-coordinate"),
+        pytest.param("polymesh 1\nnodes 3\n0 0\n1 0\n0 1\n\nelements 1\n0 1 2\n\n7\n",
+                     "trailing content at line 10", id="blank-lines-trailing-content"),
     ])
     def test_malformed_blocks(self, tmp_path, capsys, text, where):
         p = tmp_path / "bad.mesh"
@@ -90,6 +112,13 @@ class TestMeshFile:
             load_mesh(p)
         assert cli_main(["quality", "--in", str(p)]) == 1
         assert "parse error:" in capsys.readouterr().err
+
+    def test_blank_and_padded_lines_are_skipped(self, tmp_path):
+        p = tmp_path / "blank.mesh"
+        p.write_text("\n  polymesh 1\n\nnodes 4\n0 0\n\t1 0 \n1 1\n\n0 1\nelements 1\n\n0 1 2 3\n\n")
+        nodes, elems = load_mesh(p)
+        assert np.array_equal(nodes, SQUARE_NODES)
+        assert elems == SQUARE_ELEMS
 
     def test_empty_element_table_rejected(self, tmp_path):
         p = tmp_path / "empty.mesh"
@@ -102,6 +131,12 @@ class TestMeshFile:
         vals = np.array([0.1, -2.5, 1e-17, 3.0])
         save_field(vals, p)
         assert np.array_equal(load_field(p), vals)
+
+    def test_field_line_that_is_not_a_number(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_text("0\n\nabc\n2\n")
+        with pytest.raises(MeshParseError, match="bad field file .*: could not convert string to float: 'abc'$"):
+            load_field(p)
 
     @pytest.mark.parametrize("text, shown", [("nan", "nan"), ("1e400", "inf"), ("-inf", "-inf")])
     def test_field_with_a_non_finite_value_is_a_parse_error(self, tmp_path, text, shown):
@@ -139,6 +174,17 @@ class TestRenderSvg:
         render_svg(nodes, elems, b, values=vals)
         assert a.read_bytes() == b.read_bytes()
         assert "#" in a.read_text()  # color fills present
+
+    def test_field_scale_does_not_change_the_fills(self, tmp_path):
+        nodes, elems = refine(*structured_quad_mesh(4), [0, 5, 10])
+        vals = np.random.default_rng(1).standard_normal(len(nodes))
+        pics = []
+        for scale in [1.0, 3.0, 1e-300, 1e300]:
+            p = tmp_path / f"s{scale}.svg"
+            render_svg(nodes, elems, p, values=scale * vals)
+            pics.append(re.findall(r'fill="(#[0-9a-f]{6})"', p.read_text()))
+        assert all(fills == pics[0] for fills in pics[1:])
+        assert len(set(pics[0])) > 10
 
     def test_bad_field_length(self, tmp_path):
         with pytest.raises(ValueError):
@@ -191,6 +237,31 @@ class TestCli:
         assert cli_main(["quality", "--in", str(p)]) == 1
         assert "overlap at (0, 1)" in capsys.readouterr().out
 
+    def test_quality_reports_a_t_junction(self, tmp_path, capsys):
+        # node 6 sits on the right side of cell 0, which does not list it
+        p = tmp_path / "t.mesh"
+        save_mesh([[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 0.5], [1, 0.5], [2, 1]],
+                  [[0, 1, 2, 3], [1, 4, 5, 6], [6, 5, 7, 2]], p)
+        assert cli_main(["quality", "--in", str(p)]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("0 violations\nconformity: node 6 lies inside unmatched side (1, 2)\n")
+
+    def test_refine_rejects_an_invalid_mesh(self, tmp_path, capsys):
+        p = tmp_path / "twin.mesh"
+        save_mesh(structured_quad_mesh(2)[0], [[0, 1, 4, 3], [0, 1, 4, 3]], p)
+        out = tmp_path / "out.mesh"
+        assert cli_main(["refine", "--in", str(p), "--marked", "0", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("invalid mesh: overlap at (0, 1)")
+        assert not out.exists()
+
+    def test_refine_rejects_a_marked_entry_out_of_range(self, tmp_path, capsys):
+        src = tmp_path / "grid.mesh"
+        save_mesh(*structured_quad_mesh(2), src)
+        out = tmp_path / "out.mesh"
+        assert cli_main(["refine", "--in", str(src), "--marked", "99", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: a marked entry is not an element index in [0, 4)\n"
+        assert not out.exists()
+
     def test_quality_counts_hanging_nodes(self, tmp_path, capsys):
         nodes, elems = refine(*structured_quad_mesh(2), [0])
         p = tmp_path / "h.mesh"
@@ -233,6 +304,21 @@ class TestCli:
         assert cli_main(["render", "--in", src, "--out", str(out), "--field", str(fld)]) == 0
         assert "#" in out.read_text()
 
+    @pytest.mark.parametrize("nodes, elems, values, fills", [
+        pytest.param(APART_NODES, APART_ELEMS, [1e308] * 4 + [-1e308] * 4, ["#ff0000", "#0000ff"],
+                     id="cell-means-plus-minus-1e308"),
+        pytest.param(SQUARE_NODES, SQUARE_ELEMS, [1e308, 1.5e308, 1.5e308, 1e308], ["#0000ff"],
+                     id="one-cell-sum-overflows"),
+    ])
+    def test_render_with_a_huge_finite_field(self, tmp_path, nodes, elems, values, fills):
+        src = tmp_path / "in.mesh"
+        save_mesh(nodes, elems, src)
+        fld = tmp_path / "f.txt"
+        save_field(values, fld)
+        out = tmp_path / "m.svg"
+        assert cli_main(["render", "--in", str(src), "--out", str(out), "--field", str(fld)]) == 0
+        assert re.findall(r'fill="(#[0-9a-f]{6})"', out.read_text()) == fills
+
     def test_render_rejects_a_field_of_the_wrong_length(self, tmp_path, capsys):
         src = write_square(tmp_path / "in.mesh")
         fld = tmp_path / "f.txt"
@@ -273,6 +359,25 @@ class TestCli:
         assert capsys.readouterr().err == \
             "parse error: bad marked list '0,x': invalid literal for int() with base 10: 'x'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["refine", "--marks-file"], ["render", "--field"]], ids=lambda c: c[0])
+    def test_non_utf8_marks_or_field_file_is_a_parse_error(self, tmp_path, capsys, command):
+        src = write_square(tmp_path / "in.mesh")
+        text = tmp_path / "in.txt"
+        text.write_bytes(b"0\n\xff\n1\n2\n")
+        out = tmp_path / "out"
+        assert cli_main([command[0], "--in", src, command[1], str(text), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {text} is not UTF-8 text: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_marks_file_blank_and_padded_lines_are_skipped(self, tmp_path):
+        src = write_square(tmp_path / "in.mesh")
+        marks = tmp_path / "marks.txt"
+        marks.write_text("\n 0 \n\n\t1,2\n\n")
+        out = tmp_path / "out.mesh"
+        assert cli_main(["refine", "--in", src, "--marks-file", str(marks), "--out", str(out)]) == 0
+        assert load_mesh(out)[1] == refine(*refine(SQUARE_NODES, SQUARE_ELEMS, [0]), [1, 2])[1]
 
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         rc = cli_main(["render", "--in", str(tmp_path / "nope.mesh"), "--out", str(tmp_path / "x.svg")])

@@ -93,6 +93,10 @@ class TestBuildTopology:
         assert topo.diameter[0] == pytest.approx(np.sqrt(2.0))
         assert topo.centroid[0] == pytest.approx([0.5, 0.5])
 
+    def test_empty_element_table_is_rejected(self):
+        with pytest.raises(ValueError, match="element table is empty"):
+            build_topology(SQUARE_NODES, [])
+
     def test_two_squares(self):
         nodes, elems = two_squares()
         topo = build_topology(nodes, elems)
