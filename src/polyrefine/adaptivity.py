@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_core import MeshTopology, _as_nodes, _cycle_arrays, _cycle_lists, _cycle_shifts, build_topology
+from .mesh_core import (MeshTopology, _as_nodes, _cycle_arrays, _cycle_lists, _cycle_owners, _cycle_shifts,
+                        build_topology)
 from .refinement import refine
 from .vem_poisson import assemble, solve_dirichlet
 
@@ -27,7 +28,7 @@ def estimate(nodes, elements, topology: MeshTopology, u, f) -> np.ndarray:
     """Per-element residual indicators ``eta_K`` (nonnegative)."""
     nodes = _as_nodes(nodes)
     u = np.asarray(u, dtype=float)
-    NT = len(elements)
+    topology = topology._matching(elements)
     offsets, conc = topology.offsets, topology.cycles
     lengths = np.diff(offsets)
     _, nxt = _cycle_shifts(offsets)
@@ -47,7 +48,7 @@ def estimate(nodes, elements, topology: MeshTopology, u, f) -> np.ndarray:
     ubar = np.add.reduceat(u0, red) * inv_len
     vbx = np.add.reduceat(p0[:, 0], red) * inv_len
     vby = np.add.reduceat(p0[:, 1], red) * inv_len
-    rep = np.repeat(np.arange(NT), lengths)
+    rep = _cycle_owners(offsets)
     r = u0 - (ubar[rep] + gx[rep] * (p0[:, 0] - vbx[rep]) + gy[rep] * (p0[:, 1] - vby[rep]))
     eta2 = np.add.reduceat(r * r, red)
 

@@ -90,6 +90,12 @@ class MeshTopology:
     def boundary_edge_mask(self) -> np.ndarray:
         return self.edge2elem[:, 0] == self.edge2elem[:, 1]
 
+    def _matching(self, elements) -> MeshTopology:
+        """This topology, the one source of the cells, if ``elements`` lists as many cells."""
+        if len(elements) != len(self.area):
+            raise ValueError(f"the element table has {len(elements)} elements, its topology {len(self.area)}")
+        return self
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -484,7 +490,7 @@ def check_conformity(nodes, elements, topology: MeshTopology | None = None) -> l
     in the interior of an unmatched (topologically boundary) element side.
     """
     nodes = _as_nodes(nodes)
-    topo = topology if topology is not None else build_topology(nodes, elements)
+    topo = build_topology(nodes, elements) if topology is None else topology._matching(elements)
     idx = topo.cycles
     owner = _cycle_owners(topo.offsets)
     d = topo.diameter[owner]
@@ -558,9 +564,11 @@ def _nodes_inside_sides(nodes, a, b):
 
 
 def structured_quad_mesh(nx: int, ny: int | None = None, origin=(0.0, 0.0)):
-    """Axis-aligned ``nx`` x ``ny`` grid of quadrilaterals (counterclockwise) on the unit square at ``origin``."""
-    if ny is None:
-        ny = nx
+    """Axis-aligned ``nx`` x ``ny`` grid of quadrilaterals (counterclockwise) on the unit square at ``origin``;
+    raises ``ValueError`` unless both sizes are integers >= 1."""
+    ny = nx if ny is None else ny
+    if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (nx, ny)):
+        raise ValueError(f"grid sizes must be integers >= 1, got nx={nx!r}, ny={ny!r}")
     x0, y0 = origin
     xs = x0 + np.arange(nx + 1) / nx
     ys = y0 + np.arange(ny + 1) / ny

@@ -17,6 +17,8 @@ precision, so ``load_mesh(save_mesh(...))`` reproduces the mesh exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .mesh_core import (MeshError, ValidationReport, _as_nodes, _cycle_arrays, _cycle_lists,
@@ -122,18 +124,25 @@ def save_mesh(nodes, elements, path) -> None:
 
 
 def save_field(values, path) -> None:
-    """Write one scalar per line with round-trip precision."""
+    """Write one scalar per line with round-trip precision; raises ``ValueError``,
+    writing nothing, unless every value is finite."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"field value {int(bad[0])} is {values[bad[0]]}, not finite")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(f"{float(v)!r}" for v in np.asarray(values).ravel()) + "\n")
+        fh.write("\n".join(map(repr, values.tolist())) + "\n")
 
 
 def load_field(path) -> np.ndarray:
-    """One scalar per non-blank line; raises ``MeshParseError`` unless each is a finite number."""
-    try:
-        values = np.array([float(ln) for ln in _read_lines(path)[0]])
-    except ValueError as exc:
-        raise MeshParseError(f"bad field file {path}: {exc}") from exc
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise MeshParseError(f"bad field file {path}: value {int(bad[0])} is {float(values[bad[0]])}, not finite")
-    return values
+    """One scalar per non-blank line; raises ``MeshParseError``, citing the file's
+    own line number, unless each is a finite number."""
+    values = []
+    for ln, k in zip(*_read_lines(path)):
+        try:
+            values.append(float(ln))
+        except ValueError as exc:
+            raise MeshParseError(f"bad field file {path}: line {k}: {exc}") from exc
+        if not math.isfinite(values[-1]):
+            raise MeshParseError(f"bad field file {path}: line {k} is {values[-1]}, not finite")
+    return np.array(values)

@@ -63,7 +63,7 @@ def closure_marked_set(topology: MeshTopology, marked) -> set:
     refinement set is added, until the set stops growing.  Returns only the
     added elements.
     """
-    NT = len(topology.offsets) - 1
+    NT = len(topology.area)
     marked = _canonical_marked(marked, NT)
     owner = _cycle_owners(topology.offsets)
     nontrivial = _nontrivial_edges(topology)
@@ -84,7 +84,7 @@ def closure_marked_set(topology: MeshTopology, marked) -> set:
 
 def compute_cut_edges(topology: MeshTopology, refinement_set: Iterable) -> np.ndarray:
     """Trivial edges of the refinement set, i.e. the edges that get midpoints."""
-    NT = len(topology.offsets) - 1
+    NT = len(topology.area)
     in_set = np.zeros(NT, dtype=bool)
     in_set[_canonical_marked(refinement_set, NT)] = True
     nontrivial = _nontrivial_edges(topology)
@@ -116,10 +116,9 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
     """
     nodes = _as_nodes(nodes)
     marked = _canonical_marked(marked, len(elements))
-    if topology is None:
-        topology = build_topology(nodes, elements)
+    topology = build_topology(nodes, elements) if topology is None else topology._matching(elements)
     additional = sorted(closure_marked_set(topology, marked))
-    NT, N = len(elements), len(nodes)
+    NT, N = len(topology.area), len(nodes)
     status = np.zeros(NT, dtype=np.int8)  # 0 unrefined, 1 closure-added, 2 marked
     status[additional] = 1
     status[marked] = 2

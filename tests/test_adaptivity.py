@@ -210,6 +210,22 @@ class TestAdaptiveLoop:
         assert validate_mesh(run.nodes, run.elements).ok
         assert run.records[-1].num_elements == len(run.elements)
 
+    def test_on_step_sees_each_record_mesh_and_indicators(self):
+        nodes, elems = structured_quad_mesh(8)
+        uex, f = gaussian_peak_problem()
+        calls = []
+        run = adaptive_loop(nodes, elems, f, uex, theta=0.4, max_steps=3,
+                            on_step=lambda *args: calls.append(args))
+        assert [c[0] for c in calls] == [r.step for r in run.records] == [0, 1, 2, 3]
+        for (step, n, e, u, eta, marked), rec in zip(calls, run.records):
+            assert (len(n), len(e), len(marked)) == (rec.num_nodes, rec.num_elements, rec.marked_count)
+            assert len(u) == len(n)
+            assert len(eta) == len(e)
+            assert np.linalg.norm(eta) == rec.total_eta
+            assert all(type(v) is int for cyc in e for v in cyc)
+        _, n, e, u, _, _ = calls[-1]
+        assert n is run.nodes and e is run.elements and u is run.solution
+
     def test_dof_cap_stops_early(self):
         nodes, elems = structured_quad_mesh(8)
         uex, f = gaussian_peak_problem()

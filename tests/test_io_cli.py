@@ -135,16 +135,23 @@ class TestMeshFile:
     def test_field_line_that_is_not_a_number(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("0\n\nabc\n2\n")
-        with pytest.raises(MeshParseError, match="bad field file .*: could not convert string to float: 'abc'$"):
+        with pytest.raises(MeshParseError, match="bad field file .*: line 3: could not convert string to float: 'abc'$"):
             load_field(p)
 
     @pytest.mark.parametrize("text, shown", [("nan", "nan"), ("1e400", "inf"), ("-inf", "-inf")])
     def test_field_with_a_non_finite_value_is_a_parse_error(self, tmp_path, text, shown):
         p = tmp_path / "f.txt"
         p.write_text(f"0\n1\n{text}\n2\nnan\n")
-        with pytest.raises(MeshParseError, match=f"value 2 is {shown}, not finite"):
+        with pytest.raises(MeshParseError, match=f"bad field file .*: line 3 is {shown}, not finite$"):
             load_field(p)
 
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_field_is_not_saved(self, tmp_path, bad):
+        p = tmp_path / "f.txt"
+        with pytest.raises(ValueError, match=f"field value 1 is {bad}, not finite"):
+            save_field([0.0, bad, 2.0], p)
+        assert not p.exists()
 
 class TestRenderSvg:
     def test_single_square_one_polygon(self, tmp_path):
@@ -334,7 +341,7 @@ class TestCli:
         fld.write_text("0\n1\nnan\n2\n")
         out = tmp_path / "m.svg"
         assert cli_main(["render", "--in", src, "--out", str(out), "--field", str(fld)]) == 1
-        assert capsys.readouterr().err == f"parse error: bad field file {fld}: value 2 is nan, not finite\n"
+        assert capsys.readouterr().err == f"parse error: bad field file {fld}: line 3 is nan, not finite\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", [

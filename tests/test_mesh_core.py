@@ -14,8 +14,10 @@ from polyrefine import (
     NonManifoldEdgeError,
     TooDenseError,
     adaptive_loop,
+    assemble,
     build_topology,
     check_conformity,
+    estimate,
     gaussian_peak_problem,
     load_mesh,
     mesh_area,
@@ -1079,3 +1081,25 @@ def test_structured_quad_mesh_shapes():
     assert len(nodes) == 5 * 4
     assert len(elems) == 12
     assert validate_mesh(nodes, elems).ok
+
+
+@pytest.mark.parametrize("size", [0, -1, 2.0, (3, 0)], ids=repr)
+def test_structured_quad_mesh_rejects_sizes_below_one(size):
+    with pytest.raises(ValueError, match="grid sizes must be integers >= 1"):
+        structured_quad_mesh(*(size if isinstance(size, tuple) else (size,)))
+
+
+def test_a_topology_is_the_one_source_of_the_cells():
+    """Each function handed a topology raises, naming both counts, when the
+    element table lists a different number of cells."""
+    nodes, elements = structured_quad_mesh(4)
+    topo = build_topology(nodes, elements)
+    u = np.zeros(len(nodes))
+    f = lambda x, y: np.ones_like(x)
+    for E, n in ((elements[:3], 3), (elements + [[0, 1, 6, 5]], 17)):
+        for call in (lambda: assemble(nodes, E, topo, f),
+                     lambda: estimate(nodes, E, topo, u, f),
+                     lambda: refine(nodes, E, [0], topology=topo),
+                     lambda: check_conformity(nodes, E, topo)):
+            with pytest.raises(ValueError, match=f"^the element table has {n} elements, its topology 16$"):
+                call()
