@@ -16,7 +16,7 @@ from .mesh_core import (
     structured_quad_mesh,
     validate_mesh,
 )
-from .refinement import CentroidNotInteriorError, closure_marked_set, compute_cut_edges, refine
+from .refinement import CentroidNotInteriorError, refine
 from .vem_poisson import (
     LinearSystem,
     SingularProjectionError,
@@ -52,8 +52,6 @@ __all__ = [
     "assemble",
     "build_topology",
     "check_conformity",
-    "closure_marked_set",
-    "compute_cut_edges",
     "convergence_rate",
     "dorfler_mark",
     "estimate",

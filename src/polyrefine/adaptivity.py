@@ -28,6 +28,8 @@ def estimate(nodes, elements, topology: MeshTopology, u, f) -> np.ndarray:
     """Per-element residual indicators ``eta_K`` (nonnegative)."""
     nodes = _as_nodes(nodes)
     u = np.asarray(u, dtype=float)
+    if u.shape != (len(nodes),):
+        raise ValueError(f"the solution has {u.size} values, the mesh {len(nodes)} nodes")
     topology = topology._matching(elements)
     offsets, conc = topology.offsets, topology.cycles
     lengths = np.diff(offsets)

@@ -12,14 +12,13 @@ neighbour that already has a hanging node on an edge of the refinement set
 is refined as well.  Unrefined neighbours of refined elements are extended
 with the new edge midpoints so the vertex cycles stay a conforming complex.
 
-All stages work on the flat cycle arrays of ``MeshTopology`` (offsets plus
-concatenated vertex and edge indices); element lists are built only for
-the returned mesh.
+``refine`` is one pass over the flat cycle arrays of ``MeshTopology``
+(offsets plus concatenated vertex and edge indices): it closes the marked
+set, collects the cut edges, then subdivides, extends and numbers all output
+cells at once.  Element lists are built only for the returned mesh.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 import numpy as np
 
@@ -41,56 +40,12 @@ class CentroidNotInteriorError(MeshError):
     """An element cannot be subdivided because it is not star-shaped about its centroid."""
 
 
-def _canonical_marked(marked, num_elements: int) -> list:
+def _canonical_marked(marked, num_elements: int) -> np.ndarray:
     """Sorted distinct element indices of ``marked``, read by ``_cycle_arrays``."""
     _, flat = _cycle_arrays([list(marked)], num_elements)
     if (flat < 0).any():
         raise InvalidIndexError(f"a marked entry is not an element index in [0, {num_elements})")
-    return np.unique(flat).tolist()
-
-
-def _nontrivial_edges(topology: MeshTopology) -> np.ndarray:
-    """Flags for local edges with at least one hanging endpoint."""
-    _, nxt = _cycle_shifts(topology.offsets)
-    return topology.hanging | topology.hanging[nxt]
-
-
-def closure_marked_set(topology: MeshTopology, marked) -> set:
-    """Additional elements that must be refined together with ``marked``.
-
-    Starting from the marked set, any neighbour owning a nontrivial edge
-    (an edge with a hanging endpoint) that is also an edge of the current
-    refinement set is added, until the set stops growing.  Returns only the
-    added elements.
-    """
-    NT = len(topology.area)
-    marked = _canonical_marked(marked, NT)
-    owner = _cycle_owners(topology.offsets)
-    nontrivial = _nontrivial_edges(topology)
-    cand_owner = owner[nontrivial]
-    cand_edge = topology.cycle_edges[nontrivial]
-
-    in_set = np.zeros(NT, dtype=bool)
-    in_set[marked] = True
-    edge_in_set = np.zeros(topology.num_edges, dtype=bool)
-    new = in_set.copy()
-    while new.any():
-        edge_in_set[topology.cycle_edges[new[owner]]] = True
-        new[:] = False
-        new[cand_owner[edge_in_set[cand_edge] & ~in_set[cand_owner]]] = True
-        in_set |= new
-    return {int(i) for i in np.flatnonzero(in_set)} - set(marked)
-
-
-def compute_cut_edges(topology: MeshTopology, refinement_set: Iterable) -> np.ndarray:
-    """Trivial edges of the refinement set, i.e. the edges that get midpoints."""
-    NT = len(topology.area)
-    in_set = np.zeros(NT, dtype=bool)
-    in_set[_canonical_marked(refinement_set, NT)] = True
-    nontrivial = _nontrivial_edges(topology)
-    cut = np.zeros(topology.num_edges, dtype=bool)
-    cut[topology.cycle_edges[in_set[_cycle_owners(topology.offsets)] & ~nontrivial]] = True
-    return np.flatnonzero(cut)
+    return np.unique(flat)
 
 
 def refine(nodes, elements, marked, topology: MeshTopology | None = None):
@@ -117,17 +72,34 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
     nodes = _as_nodes(nodes)
     marked = _canonical_marked(marked, len(elements))
     topology = build_topology(nodes, elements) if topology is None else topology._matching(elements)
-    additional = sorted(closure_marked_set(topology, marked))
     NT, N = len(topology.area), len(nodes)
+    cyc, edges, hang = topology.cycles, topology.cycle_edges, topology.hanging
+    owner = _cycle_owners(topology.offsets)
+    prv, nxt = _cycle_shifts(topology.offsets)
+    nontrivial = hang | hang[nxt]  # local edges with a hanging endpoint
+
+    # closure: add each element owning a nontrivial edge that is an edge of
+    # the refinement set, until the set stops growing
+    cand_owner, cand_edge = owner[nontrivial], edges[nontrivial]
     status = np.zeros(NT, dtype=np.int8)  # 0 unrefined, 1 closure-added, 2 marked
-    status[additional] = 1
     status[marked] = 2
+    edge_in_set = np.zeros(topology.num_edges, dtype=bool)
+    new = status > 0
+    while new.any():
+        edge_in_set[edges[new[owner]]] = True
+        new[:] = False
+        new[cand_owner[edge_in_set[cand_edge] & (status[cand_owner] == 0)]] = True
+        status[new] = 1
     refset = np.flatnonzero(status)
-    star = _star_flags(nodes, topology.offsets, topology.cycles, topology.centroid, topology.diameter)
+    star = _star_flags(nodes, topology.offsets, cyc, topology.centroid, topology.diameter)
     bad = refset[~star[refset]]
     if bad.size:
         raise CentroidNotInteriorError(f"element {int(bad[0])}: not star-shaped about its centroid")
-    cut = compute_cut_edges(topology, refset)
+
+    # cut edges: the trivial edges of the refinement set get midpoints
+    refined = status[owner] > 0
+    trivial_refined = refined & ~nontrivial
+    cut = np.unique(edges[trivial_refined])
 
     mid_id = np.full(topology.num_edges, -1, dtype=np.int64)
     mid_id[cut] = N + np.arange(len(cut))
@@ -136,15 +108,9 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
     a, b = topology.edge[cut].T
     new_nodes = np.concatenate([nodes, 0.5 * (nodes[a] + nodes[b]), topology.centroid[refset]])
 
-    cyc = topology.cycles
-    owner = _cycle_owners(topology.offsets)
-    prv, nxt = _cycle_shifts(topology.offsets)
-    hang = topology.hanging
-    nontrivial = _nontrivial_edges(topology)
-    refined = status[owner] > 0
-    mid = mid_id[topology.cycle_edges]
+    mid = mid_id[edges]
     # midpoint inserted after the vertex at the start of each local edge (-1: none)
-    ext = np.where(refined & ~nontrivial, -1, mid)
+    ext = np.where(trivial_refined, -1, mid)
     # far corner of a subcell on each local edge: its midpoint, or the hanging vertex
     corner = np.where(nontrivial, np.where(hang, cyc, cyc[nxt]), mid)
 

@@ -32,6 +32,32 @@ def across(topo, i):
     return np.where(pair[:, 0] == i, pair[:, 1], pair[:, 0])
 
 
+def refinement_of(nodes, elements, marked):
+    """What ``refine(nodes, elements, marked)`` did: the elements its closure
+    added (a set) and its cut edges (edge indices in increasing order).
+
+    Both are read from the refined mesh through the numbering ``refine``
+    documents: slot ``i`` of a refined element ends with a new node bit-equal
+    to ``topology.centroid[i]``, and the cut-edge midpoints follow the input
+    nodes in edge order, ahead of the centroids.
+    """
+    from polyrefine import build_topology, refine
+
+    nodes = np.asarray(nodes, dtype=float)
+    topo = build_topology(nodes, elements)
+    out_nodes, cells = refine(nodes, elements, marked)
+    N = len(nodes)
+    refset = [i for i in range(len(elements))
+              if cells[i][-1] >= N and np.array_equal(out_nodes[cells[i][-1]], topo.centroid[i])]
+    first_centroid = len(out_nodes) - len(refset)
+    assert np.array_equal(out_nodes[first_centroid:], topo.centroid[refset])
+    a, b = topo.edge.T
+    edge_of = {p.tobytes(): e for e, p in enumerate(0.5 * (nodes[a] + nodes[b]))}
+    cut = np.array([edge_of[p.tobytes()] for p in out_nodes[N:first_centroid]], dtype=np.int64)
+    assert np.all(np.diff(cut) > 0)
+    return set(refset) - {int(m) for m in marked}, cut
+
+
 def two_squares():
     """Two unit squares sharing the edge x = 1."""
     nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])

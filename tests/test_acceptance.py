@@ -14,7 +14,6 @@ from polyrefine import (
     assemble,
     build_topology,
     check_conformity,
-    closure_marked_set,
     convergence_rate,
     dorfler_mark,
     estimate,
@@ -41,6 +40,7 @@ from sample_meshes import (
     centroidal_voronoi_mesh,
     hexagon_patch,
     pentagon_pair,
+    refinement_of,
 )
 from test_refinement import brute_force_closure
 
@@ -105,7 +105,7 @@ def test_criterion_3_area_conservation(randomized_trials):
 def test_criterion_4_closure_matches_brute_force():
     nodes, elems = cascade_mesh()
     topo = build_topology(nodes, elems)
-    got = closure_marked_set(topo, [0])
+    got = refinement_of(nodes, elems, [0])[0]
     assert got == {5, 7}
     assert got == brute_force_closure(nodes, elems, topo, [0])
     print("PASS criterion 4: cascade closure({0}) == {5, 7} == brute force")

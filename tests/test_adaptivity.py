@@ -122,6 +122,14 @@ class TestEstimate:
         oracle = indicator_oracle(nodes, elems, u, lambda x, y: float(f(x, y)))
         assert eta == pytest.approx(oracle, rel=1e-10)
 
+    def test_solution_of_the_wrong_length(self):
+        # too short used to raise a bare IndexError, too long was silently cut
+        nodes, elems = structured_quad_mesh(2)
+        topo = build_topology(nodes, elems)
+        for n in (3, 11):
+            with pytest.raises(ValueError, match=f"^the solution has {n} values, the mesh 9 nodes$"):
+                estimate(nodes, elems, topo, np.arange(float(n)), zero)
+
 
 class TestDorflerMark:
     def test_worked_example(self):

@@ -7,8 +7,6 @@ from polyrefine import (
     CentroidNotInteriorError,
     build_topology,
     check_conformity,
-    closure_marked_set,
-    compute_cut_edges,
     mesh_area,
     refine,
     structured_quad_mesh,
@@ -26,6 +24,7 @@ from sample_meshes import (
     horseshoe_mesh,
     local_edges,
     local_hanging,
+    refinement_of,
     square_and_hung_rectangle,
     two_squares,
 )
@@ -70,44 +69,49 @@ def assert_healthy(nodes, elements, ref_area):
 
 class TestClosure:
     def test_isolated_square(self):
-        topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
-        assert closure_marked_set(topo, [0]) == set()
+        assert refinement_of(SQUARE_NODES, SQUARE_ELEMS, [0])[0] == set()
 
     def test_square_pulls_in_hung_rectangle(self):
         nodes, elems = square_and_hung_rectangle()
-        topo = build_topology(nodes, elems)
         # hand execution: the rectangle's nontrivial edges meet A's edge set
-        assert closure_marked_set(topo, [0]) == {2}
+        assert refinement_of(nodes, elems, [0])[0] == {2}
 
     def test_cascade_two_rounds(self):
         nodes, elems = cascade_mesh()
-        topo = build_topology(nodes, elems)
         # hand execution: round one adds 5, round two adds 7
-        assert closure_marked_set(topo, [0]) == {5, 7}
+        assert refinement_of(nodes, elems, [0])[0] == {5, 7}
 
     def test_against_brute_force_oracle(self):
         nodes, elems = cascade_mesh()
         topo = build_topology(nodes, elems)
         for marked in [[0], [1], [5], [0, 6], [2, 3]]:
             expected = brute_force_closure(nodes, elems, topo, marked)
-            assert closure_marked_set(topo, marked) == expected
+            assert refinement_of(nodes, elems, marked)[0] == expected
 
     def test_oracle_on_refined_meshes(self):
+        # ten marked sets on a thrice-refined 3x3 grid, then five on each pool
+        # mesh refined twice with a seeded 20 % marked each time
         rng = np.random.default_rng(7)
         nodes, elems = structured_quad_mesh(3)
         for _ in range(3):
             nodes, elems = refine(nodes, elems, rng.choice(len(elems), 2, replace=False))
-        topo = build_topology(nodes, elems)
-        for _ in range(10):
-            marked = rng.choice(len(elems), rng.integers(1, 4), replace=False)
-            expected = brute_force_closure(nodes, elems, topo, marked)
-            assert closure_marked_set(topo, marked) == expected
+        cases = [(nodes, elems, rng, 10)]
+        for k, (nodes, elems) in enumerate(base_mesh_pool()):
+            pool_rng = np.random.default_rng(70 + k)
+            for _ in range(2):
+                nodes, elems = refine(nodes, elems, pool_rng.choice(len(elems), max(1, len(elems) // 5), replace=False))
+            cases.append((nodes, elems, pool_rng, 5))
+        for nodes, elems, case_rng, trials in cases:
+            topo = build_topology(nodes, elems)
+            for _ in range(trials):
+                marked = case_rng.choice(len(elems), case_rng.integers(1, 4), replace=False)
+                expected = brute_force_closure(nodes, elems, topo, marked)
+                assert refinement_of(nodes, elems, marked)[0] == expected
 
     def test_idempotent(self):
         nodes, elems = cascade_mesh()
-        topo = build_topology(nodes, elems)
-        add = closure_marked_set(topo, [0])
-        assert closure_marked_set(topo, sorted({0} | add)) == set()
+        add = refinement_of(nodes, elems, [0])[0]
+        assert refinement_of(nodes, elems, sorted({0} | add))[0] == set()
 
 
 class TestSubdivide:
@@ -150,15 +154,14 @@ class TestSubdivide:
 
 class TestCutEdges:
     def test_isolated_square_all_cut(self):
-        topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
-        cut = compute_cut_edges(topo, [0])
+        cut = refinement_of(SQUARE_NODES, SQUARE_ELEMS, [0])[1]
         assert list(cut) == [0, 1, 2, 3]
 
     def test_pentagon_with_hanging_vertices_oracle(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.0, 1.0]])
         elems = [[0, 1, 2, 3, 4]]
         topo = build_topology(nodes, elems)
-        cut = set(compute_cut_edges(topo, [0]))
+        cut = set(refinement_of(nodes, elems, [0])[1])
         # oracle: per-edge endpoint flags from the hanging mask
         mask = local_hanging(topo, 0)
         oracle = set()
@@ -169,8 +172,7 @@ class TestCutEdges:
         assert len(cut) == 1
 
     def test_empty_set(self):
-        topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
-        assert len(compute_cut_edges(topo, [])) == 0
+        assert len(refinement_of(SQUARE_NODES, SQUARE_ELEMS, [])[1]) == 0
 
 
 class TestExtension:
@@ -187,7 +189,7 @@ class TestExtension:
         nodes, elems = structured_quad_mesh(3)
         topo = build_topology(nodes, elems)
         refset = [0, 2]  # both neighbours of element 1
-        cut = set(compute_cut_edges(topo, refset))
+        cut = set(refinement_of(nodes, elems, refset)[1])
         in_row = sum(1 for e in local_edges(topo, 1) if e in cut)
         assert in_row == 2
         _, cells = refine(nodes, elems, refset)
@@ -229,10 +231,9 @@ class TestPartitionAndAssemble:
 
     def test_plan_and_assemble_match_refine(self):
         nodes, elems = cascade_mesh()
-        topo = build_topology(nodes, elems)
-        assert closure_marked_set(topo, [0]) == {5, 7}
+        added, cut = refinement_of(nodes, elems, [0])
+        assert added == {5, 7}
         out_nodes, cells = refine(nodes, elems, [0])
-        cut = compute_cut_edges(topo, [0, 5, 7])
         cen = {i: len(nodes) + len(cut) + r for r, i in enumerate([0, 5, 7])}
         assert len(out_nodes) == len(nodes) + len(cut) + 3
         # slots of refined elements hold a subcell, the rest follow:
