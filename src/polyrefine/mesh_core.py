@@ -533,25 +533,17 @@ def _nodes_inside_sides(nodes, a, b):
     pad = 2e-9 * np.sqrt(L2) + 4.0 * EPS * np.maximum(np.abs(a), np.abs(b)).max(axis=1)
     lo = np.minimum(a, b) - pad[:, None]
     hi = np.maximum(a, b) + pad[:, None]
-    ranges = []
-    for axis in (0, 1):
-        order = np.argsort(nodes[:, axis], kind="stable")
-        keys = nodes[order, axis]
-        start = np.searchsorted(keys, lo[:, axis], side="left")
-        stop = np.searchsorted(keys, hi[:, axis], side="right")
-        ranges.append((order, start, stop - start))
-    use_y = ranges[1][2] < ranges[0][2]
-    sides, cands = [], []
-    for axis, sel in ((0, ~use_y), (1, use_y)):
-        order, start, count = ranges[axis]
-        k = np.flatnonzero(sel)
-        count = count[k]
-        side = np.repeat(k, count)
-        first = np.repeat(start[k] - (np.cumsum(count) - count), count)
-        sides.append(side)
-        cands.append(order[first + np.arange(len(side))])
-    k = np.concatenate(sides)
-    j = np.concatenate(cands)
+    order = np.argsort(nodes, axis=0, kind="stable")
+    xs, ys = np.take_along_axis(nodes, order, axis=0).T
+    start_x = np.searchsorted(xs, lo[:, 0], side="left")
+    start_y = np.searchsorted(ys, lo[:, 1], side="left")
+    count_x = np.searchsorted(xs, hi[:, 0], side="right") - start_x
+    count_y = np.searchsorted(ys, hi[:, 1], side="right") - start_y
+    axis = (count_y < count_x).astype(np.intp)  # a tie keeps x
+    count = np.where(axis, count_y, count_x)
+    k = np.repeat(np.arange(len(a)), count)
+    first = np.repeat(np.where(axis, start_y, start_x) - (np.cumsum(count) - count), count)
+    j = order[first + np.arange(len(k)), axis[k]]
     # parameter of each candidate node along its side, clipped off the endpoints
     t = ((nodes[j] - a[k]) * ab[k]).sum(-1) / L2[k]
     proj = a[k] + t[:, None] * ab[k]

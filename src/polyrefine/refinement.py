@@ -91,13 +91,13 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
         new[cand_owner[edge_in_set[cand_edge] & (status[cand_owner] == 0)]] = True
         status[new] = 1
     refset = np.flatnonzero(status)
-    star = _star_flags(nodes, topology.offsets, cyc, topology.centroid, topology.diameter)
-    bad = refset[~star[refset]]
-    if bad.size:
-        raise CentroidNotInteriorError(f"element {int(bad[0])}: not star-shaped about its centroid")
+    refined = status[owner] > 0
+    ref_offsets = np.r_[0, np.cumsum(np.diff(topology.offsets)[refset])]
+    star = _star_flags(nodes, ref_offsets, cyc[refined], topology.centroid[refset], topology.diameter[refset])
+    if not star.all():
+        raise CentroidNotInteriorError(f"element {int(refset[~star][0])}: not star-shaped about its centroid")
 
     # cut edges: the trivial edges of the refinement set get midpoints
-    refined = status[owner] > 0
     trivial_refined = refined & ~nontrivial
     cut = np.unique(edges[trivial_refined])
 

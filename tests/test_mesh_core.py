@@ -927,10 +927,14 @@ class TestMeshAreaAndConformity:
         assert any("off the parent-edge midpoint" in msg for msg in issues)
 
 
-    def test_conformity_memory_is_linear(self):
+    # each long boundary side of the 512 x 2 grid holds a whole row of nodes in
+    # its y strip (of the 2 x 512 grid, in its x strip), so a search fixed to
+    # one axis takes quadratic memory on one of them
+    @pytest.mark.parametrize("nx, ny", [(64, 64), (512, 2), (2, 512)])
+    def test_conformity_memory_is_linear(self, nx, ny):
         import tracemalloc
 
-        nodes, elems = structured_quad_mesh(64)
+        nodes, elems = structured_quad_mesh(nx, ny)
         tracemalloc.start()
         try:
             issues = check_conformity(nodes, elems)
@@ -981,10 +985,21 @@ def dense_conformity_oracle(nodes, elements):
     return out
 
 
+def every_other_hanging_dropped(nodes, elems):
+    """The hanging positions ``(element, local index)`` of a mesh, and its
+    cycles with every other one of those nodes dropped."""
+    topo = build_topology(nodes, elems)
+    hung = [(i, j) for i in range(len(elems)) for j in np.flatnonzero(local_hanging(topo, i))]
+    dropped = {(i, elems[i][j]) for i, j in hung[::2]}
+    return hung, [[v for v in c if (k, v) not in dropped] for k, c in enumerate(elems)]
+
+
 def nonconforming_meshes():
     """Hand-built invalid meshes, plus refined meshes where every other
-    hanging node is dropped from the cycle it hangs in and one kept hanging
-    node is slid off its parent-edge midpoint."""
+    hanging node is dropped from the cycle it hangs in: on two grids one kept
+    hanging node is also slid off its parent-edge midpoint, and a third grid
+    is moved by 1e4, so that the strip pad's ``4 EPS |x|`` term is not
+    negligible."""
     yield double_hang_mesh()
     yield invisible_hang_mesh()
     yield np.array([[0.0, 0.0], [0.8, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]]), [[0, 1, 2, 3, 4]]
@@ -993,14 +1008,19 @@ def nonconforming_meshes():
         nodes, elems = structured_quad_mesh(n)
         for _ in range(2):
             nodes, elems = refine(nodes, elems, rng.choice(len(elems), n, replace=False))
-        topo = build_topology(nodes, elems)
-        hung = [(i, j) for i in range(len(elems)) for j in np.flatnonzero(local_hanging(topo, i))]
-        dropped = {(i, elems[i][j]) for i, j in hung[::2]}
+        hung, kept = every_other_hanging_dropped(nodes, elems)
         i, j = hung[1]
         cyc = elems[i]
         moved = nodes.copy()
         moved[cyc[j]] += 0.1 * (nodes[cyc[(j + 1) % len(cyc)]] - nodes[cyc[j - 1]])
-        yield moved, [[v for v in c if (k, v) not in dropped] for k, c in enumerate(elems)]
+        yield moved, kept
+    # Voronoi and pool meshes refined twice with a seeded 20 % marked
+    rng = np.random.default_rng(17)
+    starts = [(mesh, 0.0) for mesh in [centroidal_voronoi_mesh(s) for s in VORONOI_SEEDS] + base_mesh_pool()]
+    for (nodes, elems), shift in starts + [(structured_quad_mesh(6), 1e4)]:
+        for _ in range(2):
+            nodes, elems = refine(nodes, elems, rng.choice(len(elems), max(1, len(elems) // 5), replace=False))
+        yield nodes + shift, every_other_hanging_dropped(nodes, elems)[1]
 
 
 def vertex_index(v, n):

@@ -26,6 +26,7 @@ from sample_meshes import (
     local_hanging,
     refinement_of,
     square_and_hung_rectangle,
+    thick_u_mesh,
     two_squares,
 )
 
@@ -150,6 +151,17 @@ class TestSubdivide:
         nodes, elems = horseshoe_mesh()
         with pytest.raises(CentroidNotInteriorError, match="element 0"):
             refine(nodes, elems, [0])
+
+    def test_centroid_not_interior_names_the_mesh_element(self):
+        # a 2x2 grid, then the thick U as element 4, clear of the grid: the
+        # star check runs on the refinement set alone
+        grid_nodes, grid_elems = structured_quad_mesh(2)
+        u_nodes, u_elems = thick_u_mesh()
+        nodes = np.vstack([grid_nodes, u_nodes + [5.0, 0.0]])
+        elems = grid_elems + [[len(grid_nodes) + v for v in u_elems[0]]]
+        assert len(refine(nodes, elems, [0, 3])[1]) == 11
+        with pytest.raises(CentroidNotInteriorError, match="element 4: not star-shaped"):
+            refine(nodes, elems, [0, 4])
 
 
 class TestCutEdges:
