@@ -175,11 +175,17 @@ def _cycle_lists(offsets, cycles) -> list:
     return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _length_groups(offsets, cycles, idx):
-    """``(elements, (k, L) vertex indices)`` for the elements ``idx``, per cycle length ``L``."""
-    lengths = offsets[idx + 1] - offsets[idx]
+def _cells(offsets, cycles, keep):
+    """Flat cycle arrays of the cells flagged in ``keep``."""
+    lengths = np.diff(offsets)
+    return np.r_[0, np.cumsum(lengths[keep])], cycles[np.repeat(keep, lengths)]
+
+
+def _length_groups(offsets, cycles):
+    """``(elements, (k, L) vertex indices)`` per cycle length ``L``."""
+    lengths = np.diff(offsets)
     for L in np.unique(lengths):
-        sel = idx[lengths == L]
+        sel = np.flatnonzero(lengths == L)
         yield sel, cycles[offsets[sel][:, None] + np.arange(L)]
 
 
@@ -199,17 +205,15 @@ def _polygon_tables(nodes, offsets, cycles):
     sx = np.add.reduceat((x0 + x1) * cr, red)
     sy = np.add.reduceat((y0 + y1) * cr, red)
 
-    # all-pairs diameter on the coordinate planes of each length group: the
-    # vertex pairs r apart, 1 <= r <= L // 2, are every pair of the cycle
-    diam = np.empty(len(offsets) - 1)
-    for idx, cyc in _length_groups(offsets, cycles, np.arange(len(diam))):
-        L = cyc.shape[1]
-        XX, YY = _doubled_rows(x[cyc], y[cyc])
-        d2 = np.zeros(len(idx))
-        for r in range(1, L // 2 + 1):
-            dx, dy = XX[r:r + L] - XX[:L], YY[r:r + L] - YY[:L]
-            d2 = np.maximum(d2, (dx * dx + dy * dy).max(axis=0))
-        diam[idx] = np.sqrt(d2)
+    # all-pairs diameter: the vertex pairs r apart, 1 <= r <= L // 2, are every
+    # pair of a cycle; in a shorter cycle the walk wraps onto pairs it has seen
+    q = np.arange(len(cycles))
+    d2 = np.zeros(len(cycles))
+    for _ in range(np.diff(offsets).max(initial=0) // 2):
+        q = nxt[q]
+        dx, dy = x0[q] - x0, y0[q] - y0
+        d2 = np.maximum(d2, dx * dx + dy * dy)
+    diam = np.sqrt(np.maximum.reduceat(d2, red))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         centroid = np.column_stack([sx, sy]) / (3.0 * area2)[:, None]
@@ -295,55 +299,55 @@ def build_topology(nodes, elements) -> MeshTopology:
     return MeshTopology(edge, edge2elem, area, centroid, diameter, offsets, conc, inv, hanging)
 
 
-def _simple_flags(X: np.ndarray, Y: np.ndarray, diam: np.ndarray) -> np.ndarray:
-    """Simplicity test for ``k`` polygons of ``L`` vertices, given as their
-    ``(k, L)`` coordinate planes ``X = x[cyc]`` and ``Y = y[cyc]``.
+def _simple_flags(nodes, offsets, cycles, diam) -> np.ndarray:
+    """Simplicity test for the polygons of the flat cycle arrays.
 
     A polygon is simple when no two non-adjacent sides cross or overlap and
     no vertex touches the inside of a side it is not an endpoint of (side
-    ``s`` runs from vertex ``s`` to ``s + 1``).  All pairs of sides, or of a
-    side and a vertex, ``r`` positions apart are one row slice of the
-    ``_doubled_rows`` planes.
+    ``s`` runs from vertex ``s`` to ``s + 1``).  Step ``r`` of a walk along
+    ``nxt`` pairs each side with the side, and with the vertex, ``r``
+    positions ahead in its cycle.
     """
-    L = X.shape[1]
-    XX, YY = _doubled_rows(X, Y)
-    AX, AY, BX, BY = XX[:L], YY[:L], XX[1:L + 1], YY[1:L + 1]
-    SX, SY = BX - AX, BY - AY
-    planes = (AX, AY, BX, BY, SX, SY)
-    ok = np.ones(len(diam), dtype=bool)
-    eps = 1e-12 * diam * diam
-    # non-adjacent side pairs i < j = i + r: 2 <= r <= L - 2 leaves out the
-    # pair of sides 0 and L - 1, which meet at vertex 0
-    for r in range(2, L - 1):
-        a1x, a1y, b1x, b1y, s1x, s1y = (p[:L - r] for p in planes)
-        a2x, a2y, b2x, b2y, s2x, s2y = (p[r:] for p in planes)
+    x, y = nodes.T
+    _, nxt = _cycle_shifts(offsets)
+    lengths, red = np.diff(offsets), offsets[:-1]
+    L = np.repeat(lengths, lengths)
+    local = np.arange(len(cycles)) - np.repeat(red, lengths)
+    ax, ay = x[cycles], y[cycles]
+    bx, by = ax[nxt], ay[nxt]
+    sx, sy = bx - ax, by - ay
+    eps = np.repeat(1e-12 * diam * diam, lengths)
+    tol = np.repeat((1e-12 * diam) ** 2, lengths)
+    L2 = np.maximum(sx * sx + sy * sy, 1e-300)
+    bad = np.zeros(len(cycles), dtype=bool)
+    q = nxt
+    for r in range(2, lengths.max(initial=0)):
+        q = nxt[q]
+        # non-adjacent side pairs i < j = i + r, each once: r <= L - 2 leaves
+        # out the pair of sides 0 and L - 1, which meet at vertex 0
+        pair = (local + r < L) & (r <= L - 2)
+        a2x, a2y, b2x, b2y, s2x, s2y = ax[q], ay[q], bx[q], by[q], sx[q], sy[q]
         # side of each endpoint relative to the other side's line
-        d1 = s2x * (a1y - a2y) - s2y * (a1x - a2x)
-        d2 = s2x * (b1y - a2y) - s2y * (b1x - a2x)
-        d3 = s1x * (a2y - a1y) - s1y * (a2x - a1x)
-        d4 = s1x * (b2y - a1y) - s1y * (b2x - a1x)
-        bad = (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & \
-              (((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps)))
-        coll = (np.abs(d1) <= eps) & (np.abs(d2) <= eps) & (np.abs(d3) <= eps) & (np.abs(d4) <= eps)
+        d1 = s2x * (ay - a2y) - s2y * (ax - a2x)
+        d2 = s2x * (by - a2y) - s2y * (bx - a2x)
+        d3 = sx * (a2y - ay) - sy * (a2x - ax)
+        d4 = sx * (b2y - ay) - sy * (b2x - ax)
+        bad |= pair & (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & \
+            (((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps)))
+        coll = pair & (np.abs(d1) <= eps) & (np.abs(d2) <= eps) & (np.abs(d3) <= eps) & (np.abs(d4) <= eps)
         if coll.any():
             # collinear pairs: flag genuine 1-D interval overlap
-            ulen2 = np.maximum(s1x * s1x + s1y * s1y, 1e-300)
-            ta = (a2x - a1x) * s1x + (a2y - a1y) * s1y
-            tb = (b2x - a1x) * s1x + (b2y - a1y) * s1y
-            overlap = np.minimum(np.maximum(ta, tb), ulen2) - np.maximum(np.minimum(ta, tb), 0.0)
-            bad |= coll & (overlap > 1e-9 * ulen2)
-        ok &= ~bad.any(axis=0)
-    # a vertex touching a non-incident side pinches the boundary: side s and
-    # vertex s + r (cyclic) for 2 <= r <= L - 1
-    L2 = np.maximum(SX * SX + SY * SY, 1e-300)
-    tol = (1e-12 * diam) ** 2
-    for r in range(2, L):
-        px, py = XX[r:r + L], YY[r:r + L]
-        t = ((px - AX) * SX + (py - AY) * SY) / L2
+            ta = (a2x - ax) * sx + (a2y - ay) * sy
+            tb = (b2x - ax) * sx + (b2y - ay) * sy
+            overlap = np.minimum(np.maximum(ta, tb), L2) - np.maximum(np.minimum(ta, tb), 0.0)
+            bad |= coll & (overlap > 1e-9 * L2)
+        # a vertex touching a non-incident side pinches the boundary: side s
+        # and vertex s + r for r <= L - 1, beyond which the walk has wrapped
+        t = ((a2x - ax) * sx + (a2y - ay) * sy) / L2
         # t is only read inside (0, 1), where clipping it to [0, 1] changes nothing
-        dx, dy = px - (AX + t * SX), py - (AY + t * SY)
-        ok &= ~((dx * dx + dy * dy < tol) & (t > 1e-9) & (t < 1 - 1e-9)).any(axis=0)
-    return ok
+        dx, dy = a2x - (ax + t * sx), a2y - (ay + t * sy)
+        bad |= (r < L) & (dx * dx + dy * dy < tol) & (t > 1e-9) & (t < 1 - 1e-9)
+    return ~np.logical_or.reduceat(bad, red)
 
 
 def _star_flags(nodes, offsets, cycles, points, diam) -> np.ndarray:
@@ -360,12 +364,6 @@ def _star_flags(nodes, offsets, cycles, points, diam) -> np.ndarray:
     left = (bx - ax) * (py - ay) - (by - ay) * (px - ax) > np.repeat(1e-12 * diam * diam, lengths)
     winding = np.add.reduceat((ay <= py) & (py < by), red, dtype=np.int64)
     return np.logical_and.reduceat(left, red) & (winding == 1)
-
-
-def _doubled_rows(X: np.ndarray, Y: np.ndarray):
-    """The ``(k, L)`` planes transposed and stacked twice, ``(2L, k)`` and C-contiguous:
-    rows ``r:r + L`` hold vertex ``s + r`` (cyclic) of each polygon in row ``s``."""
-    return np.concatenate([X, X], axis=1).T.copy(), np.concatenate([Y, Y], axis=1).T.copy()
 
 
 def _duplicate_node_pairs(nodes, radius):
@@ -439,8 +437,7 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     # geometric checks on the elements that passed, in the same flat layout
     passed = ~(few | invalid | repeated)
     geometric = np.flatnonzero(passed)
-    goffsets = np.r_[0, np.cumsum(lengths[geometric])]
-    gcycles = conc[passed[owner]]
+    goffsets, gcycles = _cells(offsets, conc, passed)
     # edges of more than two of them, keyed a * N + b (a < b) as in build_topology
     a, b = gcycles, gcycles[_cycle_shifts(goffsets)[1]]
     keys, uses, counts = np.unique(np.minimum(a, b) * N + np.maximum(a, b),
@@ -461,10 +458,8 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     with np.errstate(invalid="ignore"):  # degenerate cells have inf/nan centroids
         outside = live & ~_star_flags(nodes, goffsets, gcycles, centroid, diam)
     # star-shaped implies simple, so only the rejected cells can be tangled
-    x, y = nodes.T
     tangled = np.zeros(len(geometric), dtype=bool)
-    for idx, cyc in _length_groups(goffsets, gcycles, np.flatnonzero(outside)):
-        tangled[idx] = ~_simple_flags(x[cyc], y[cyc], diam[idx])
+    tangled[outside] = ~_simple_flags(nodes, *_cells(goffsets, gcycles, outside), diam[outside])
     outside &= ~tangled
 
     for kind, elems, detail in (
@@ -540,7 +535,7 @@ def _nodes_inside_sides(nodes, a, b):
     count_x = np.searchsorted(xs, hi[:, 0], side="right") - start_x
     count_y = np.searchsorted(ys, hi[:, 1], side="right") - start_y
     axis = (count_y < count_x).astype(np.intp)  # a tie keeps x
-    count = np.where(axis, count_y, count_x)
+    count = np.where(axis, count_y, count_x) * (L2 > 0)  # a side of zero length has no inside
     k = np.repeat(np.arange(len(a)), count)
     first = np.repeat(np.where(axis, start_y, start_x) - (np.cumsum(count) - count), count)
     j = order[first + np.arange(len(k)), axis[k]]

@@ -27,6 +27,7 @@ from .mesh_core import (
     MeshError,
     MeshTopology,
     _as_nodes,
+    _cells,
     _cycle_arrays,
     _cycle_lists,
     _cycle_owners,
@@ -92,8 +93,8 @@ def refine(nodes, elements, marked, topology: MeshTopology | None = None):
         status[new] = 1
     refset = np.flatnonzero(status)
     refined = status[owner] > 0
-    ref_offsets = np.r_[0, np.cumsum(np.diff(topology.offsets)[refset])]
-    star = _star_flags(nodes, ref_offsets, cyc[refined], topology.centroid[refset], topology.diameter[refset])
+    star = _star_flags(nodes, *_cells(topology.offsets, cyc, status > 0), topology.centroid[refset],
+                       topology.diameter[refset])
     if not star.all():
         raise CentroidNotInteriorError(f"element {int(refset[~star][0])}: not star-shaped about its centroid")
 

@@ -46,7 +46,7 @@ def render_svg(nodes, elements, path, values=None) -> None:
         # scaled by a power of two to |v| < 1: exact, and no cell mean or spread of means overflows
         values = np.ldexp(values, -np.frexp(np.abs(values).max())[1])
         per_elem = np.empty(len(fills))  # row means sum in the order a per-cycle mean does
-        for idx, cyc in _length_groups(offsets, cycles, np.arange(len(per_elem))):
+        for idx, cyc in _length_groups(offsets, cycles):
             per_elem[idx] = values[cyc].mean(axis=1)
         vmin, vmax = float(per_elem.min()), float(per_elem.max())
         den = vmax - vmin if vmax > vmin else 1.0

@@ -81,7 +81,7 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
     topology = topology._matching(elements)
     offsets, cycles = topology.offsets, topology.cycles
     rows, cols, vals = [], [], []
-    for idx, cyc in _length_groups(offsets, cycles, np.arange(len(topology.area))):
+    for idx, cyc in _length_groups(offsets, cycles):
         K = _batched_stiffness(nodes[cyc], topology.area[idx], topology.diameter[idx])
         rows.append(np.broadcast_to(cyc[:, :, None], K.shape).ravel())
         cols.append(np.broadcast_to(cyc[:, None, :], K.shape).ravel())

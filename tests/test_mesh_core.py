@@ -30,10 +30,10 @@ from polyrefine import (
 from polyrefine.mesh_core import (
     ValidationReport,
     Violation,
+    _cells,
     _cycle_arrays,
     _degenerate,
     _duplicate_node_pairs,
-    _length_groups,
     _polygon_tables,
     _simple_flags,
     _star_flags,
@@ -572,10 +572,8 @@ def star_cells_not_simple(nodes, offsets, cycles):
     live = ~_degenerate(area, diam) & (area > 0)
     with np.errstate(invalid="ignore"):  # degenerate cells have inf/nan centroids
         star = live & _star_flags(nodes, offsets, cycles, centroid, diam)
-    x, y = nodes.T
-    bad = [idx[~_simple_flags(x[cyc], y[cyc], diam[idx])]
-           for idx, cyc in _length_groups(offsets, cycles, np.flatnonzero(star))]
-    return np.concatenate([np.zeros(0, dtype=np.int64)] + bad), int(star.sum())
+    bad = np.flatnonzero(star)[~_simple_flags(nodes, *_cells(offsets, cycles, star), diam[star])]
+    return bad, int(star.sum())
 
 
 class TestStarImpliesSimple:
@@ -602,16 +600,15 @@ class TestStarImpliesSimple:
 
 class TestPolygonKernels:
     def test_kernels_match_oracles(self):
-        # the plane and flat kernels against stacked (M, L, 2) oracles: flag
-        # for flag, and the diameter bit for bit
+        # the flat kernels against stacked (M, L, 2) oracles: flag for flag,
+        # and the diameter bit for bit
         rng = np.random.default_rng(8)
         counts = np.zeros(4, dtype=np.int64)
         for L, V in kernel_polygons(rng).items():
             offsets = np.arange(len(V) + 1) * L
             diam = _polygon_tables(V.reshape(-1, 2), offsets, np.arange(offsets[-1]))[2]
             assert diam.tobytes() == diameter_oracle(V).tobytes(), L
-            X, Y = V[..., 0], V[..., 1]
-            simple = _simple_flags(X, Y, diam)
+            simple = _simple_flags(V.reshape(-1, 2), offsets, np.arange(offsets[-1]), diam)
             assert np.array_equal(simple, simple_flags_oracle(V, diam)), L
             counts += [simple.size, np.count_nonzero(~simple), 0, 0]
             for points in kernel_points(V, rng):
@@ -621,6 +618,34 @@ class TestPolygonKernels:
         # every kind of outcome is well represented
         assert counts[0] > 5000 and counts[1] > 1000
         assert counts[2] > 200000 and 20000 < counts[3] < counts[2] - 20000
+
+    def test_kernels_on_one_mixed_table(self):
+        # every stack in one flat table, cells shuffled: a walk along a cycle
+        # shorter than the table's longest wraps, and must neither lose a pair
+        # nor test one the stacked oracles leave out
+        rng = np.random.default_rng(11)
+        stacks = list(kernel_polygons(rng).values())
+        cells = [V[i] for V in stacks for i in range(len(V))]
+        order = rng.permutation(len(cells))
+        offsets = np.r_[0, np.cumsum([len(cells[k]) for k in order])]
+        nodes = np.concatenate([cells[k] for k in order])
+        diam = _polygon_tables(nodes, offsets, np.arange(offsets[-1]))[2]
+        want = np.concatenate([diameter_oracle(V) for V in stacks])
+        assert diam.tobytes() == want[order].tobytes()
+        simple = np.concatenate([simple_flags_oracle(V, diameter_oracle(V)) for V in stacks])
+        assert np.array_equal(_simple_flags(nodes, offsets, np.arange(offsets[-1]), diam), simple[order])
+
+    def test_short_side_beside_a_longer_cycle(self):
+        # a square with a vertex 1e-151 past a corner: t = |s|^2 / 1e-300 puts
+        # that side's own end inside it, which a walk wrapped past the end of
+        # this cycle, by a 7-gon in the same table, must not read as a pinch
+        tiny = np.array([[0.0, 0.0], [1e-151, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        angles = 2.0 * np.pi * np.arange(7) / 7
+        nodes = np.vstack([tiny, np.column_stack([np.cos(angles), np.sin(angles)])])
+        offsets = np.array([0, 5, 12])
+        diam = _polygon_tables(nodes, offsets, np.arange(12))[2]
+        assert _simple_flags(nodes, offsets, np.arange(12), diam).tolist() == [True, True]
+        assert simple_flags_oracle(tiny[None], diam[:1]).tolist() == [True]
 
 
 class TestDuplicateNodePairs:
@@ -901,6 +926,11 @@ class TestMeshAreaAndConformity:
     def test_hexagon_patch_area(self):
         nodes, elems = hexagon_patch()
         assert mesh_area(nodes, elems) == pytest.approx(4 * 3 * np.sqrt(3) / 2, rel=1e-12)
+
+    def test_zero_length_unmatched_side(self):
+        # nodes 2 and 3 coincide: their side has no inside, and no parameter along it
+        nodes = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 1.0]])
+        assert check_conformity(nodes, [[0, 1, 2, 3, 4]]) == []
 
     def test_conforming_meshes_pass(self):
         from sample_meshes import cascade_mesh, square_and_hung_rectangle
