@@ -196,24 +196,28 @@ def _polygon_tables(nodes, offsets, cycles):
     a degenerate polygon (see ``_degenerate``) gets a meaningless centroid.
     """
     x, y = nodes.T
-    _, nxt = _cycle_shifts(offsets)
+    nxt = _cycle_shifts(offsets)[1]
     x0, y0 = x[cycles], y[cycles]
+    lengths, red = np.diff(offsets), offsets[:-1]
+
+    # all-pairs diameter: the vertex pairs r apart, 1 <= r <= L // 2, are every
+    # pair of a cycle, so step r walks only the positions p of cycles with L >= 2 r
+    d2 = np.zeros(len(cycles))
+    p, q, live = slice(None), np.arange(len(cycles)), lengths
+    for r in range(1, lengths.max(initial=0) // 2 + 1):
+        if live.min() < 2 * r:
+            walk = np.repeat(lengths >= 2 * r, lengths)
+            p, q, live = np.flatnonzero(walk), q[walk[p]], live[live >= 2 * r]
+        q = nxt[q]
+        dx, dy = x0[q] - x0[p], y0[q] - y0[p]
+        d2[p] = np.maximum(d2[p], dx * dx + dy * dy)
+    diam = np.sqrt(np.maximum.reduceat(d2, red))
+
     x1, y1 = x0[nxt], y0[nxt]
     cr = x0 * y1 - x1 * y0
-    red = offsets[:-1]
     area2 = np.add.reduceat(cr, red)
     sx = np.add.reduceat((x0 + x1) * cr, red)
     sy = np.add.reduceat((y0 + y1) * cr, red)
-
-    # all-pairs diameter: the vertex pairs r apart, 1 <= r <= L // 2, are every
-    # pair of a cycle; in a shorter cycle the walk wraps onto pairs it has seen
-    q = np.arange(len(cycles))
-    d2 = np.zeros(len(cycles))
-    for _ in range(np.diff(offsets).max(initial=0) // 2):
-        q = nxt[q]
-        dx, dy = x0[q] - x0, y0[q] - y0
-        d2 = np.maximum(d2, dx * dx + dy * dy)
-    diam = np.sqrt(np.maximum.reduceat(d2, red))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         centroid = np.column_stack([sx, sy]) / (3.0 * area2)[:, None]
@@ -311,28 +315,34 @@ def _simple_flags(nodes, offsets, cycles, diam) -> np.ndarray:
     x, y = nodes.T
     _, nxt = _cycle_shifts(offsets)
     lengths, red = np.diff(offsets), offsets[:-1]
-    L = np.repeat(lengths, lengths)
-    local = np.arange(len(cycles)) - np.repeat(red, lengths)
-    ax, ay = x[cycles], y[cycles]
-    bx, by = ax[nxt], ay[nxt]
-    sx, sy = bx - ax, by - ay
-    eps = np.repeat(1e-12 * diam * diam, lengths)
-    tol = np.repeat((1e-12 * diam) ** 2, lengths)
-    L2 = np.maximum(sx * sx + sy * sy, 1e-300)
+    x0, y0 = x[cycles], y[cycles]
+    x1, y1 = x0[nxt], y0[nxt]
+    sides = (x0, y0, x1, y1, x1 - x0, y1 - y0)
+    # cycle length, place in the cycle and the two tolerances of each position
+    own = (np.repeat(lengths, lengths), np.arange(len(cycles)) - np.repeat(red, lengths),
+           np.repeat(1e-12 * diam * diam, lengths), np.repeat((1e-12 * diam) ** 2, lengths))
     bad = np.zeros(len(cycles), dtype=bool)
-    q = nxt
+    # step r walks only the positions p of cycles with L > r: a shorter cycle
+    # has no side or vertex r ahead, and its walk would wrap
+    p, q, live = slice(None), nxt, lengths
     for r in range(2, lengths.max(initial=0)):
+        if live.min() <= r:
+            walk = np.repeat(lengths > r, lengths)
+            p, q, live = np.flatnonzero(walk), q[walk[p]], live[live > r]
         q = nxt[q]
+        ax, ay, bx, by, sx, sy = (v[p] for v in sides)
+        a2x, a2y, b2x, b2y, s2x, s2y = (v[q] for v in sides)
+        L, local, eps, tol = (v[p] for v in own)
+        L2 = np.maximum(sx * sx + sy * sy, 1e-300)
         # non-adjacent side pairs i < j = i + r, each once: r <= L - 2 leaves
         # out the pair of sides 0 and L - 1, which meet at vertex 0
         pair = (local + r < L) & (r <= L - 2)
-        a2x, a2y, b2x, b2y, s2x, s2y = ax[q], ay[q], bx[q], by[q], sx[q], sy[q]
         # side of each endpoint relative to the other side's line
         d1 = s2x * (ay - a2y) - s2y * (ax - a2x)
         d2 = s2x * (by - a2y) - s2y * (bx - a2x)
         d3 = sx * (a2y - ay) - sy * (a2x - ax)
         d4 = sx * (b2y - ay) - sy * (b2x - ax)
-        bad |= pair & (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & \
+        hit = pair & (((d1 > eps) & (d2 < -eps)) | ((d1 < -eps) & (d2 > eps))) & \
             (((d3 > eps) & (d4 < -eps)) | ((d3 < -eps) & (d4 > eps)))
         coll = pair & (np.abs(d1) <= eps) & (np.abs(d2) <= eps) & (np.abs(d3) <= eps) & (np.abs(d4) <= eps)
         if coll.any():
@@ -340,13 +350,12 @@ def _simple_flags(nodes, offsets, cycles, diam) -> np.ndarray:
             ta = (a2x - ax) * sx + (a2y - ay) * sy
             tb = (b2x - ax) * sx + (b2y - ay) * sy
             overlap = np.minimum(np.maximum(ta, tb), L2) - np.maximum(np.minimum(ta, tb), 0.0)
-            bad |= coll & (overlap > 1e-9 * L2)
-        # a vertex touching a non-incident side pinches the boundary: side s
-        # and vertex s + r for r <= L - 1, beyond which the walk has wrapped
+            hit |= coll & (overlap > 1e-9 * L2)
+        # a vertex touching a non-incident side pinches the boundary: side s and vertex s + r
         t = ((a2x - ax) * sx + (a2y - ay) * sy) / L2
         # t is only read inside (0, 1), where clipping it to [0, 1] changes nothing
         dx, dy = a2x - (ax + t * sx), a2y - (ay + t * sy)
-        bad |= (r < L) & (dx * dx + dy * dy < tol) & (t > 1e-9) & (t < 1 - 1e-9)
+        bad[p] |= hit | ((dx * dx + dy * dy < tol) & (t > 1e-9) & (t < 1 - 1e-9))
     return ~np.logical_or.reduceat(bad, red)
 
 

@@ -620,11 +620,16 @@ class TestPolygonKernels:
         assert counts[2] > 200000 and 20000 < counts[3] < counts[2] - 20000
 
     def test_kernels_on_one_mixed_table(self):
-        # every stack in one flat table, cells shuffled: a walk along a cycle
-        # shorter than the table's longest wraps, and must neither lose a pair
-        # nor test one the stacked oracles leave out
+        # every stack in one flat table, cells shuffled, with two 400-gons: the
+        # walk leaves a cycle once it has seen all its pairs, and must neither
+        # lose a pair nor test one the stacked oracles leave out
         rng = np.random.default_rng(11)
         stacks = list(kernel_polygons(rng).values())
+        angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, 400))
+        star = rng.uniform(0.5, 1.0, (400, 1)) * np.column_stack([np.cos(angles), np.sin(angles)])
+        long_cells = np.stack([star, star[np.r_[0:100, 102, 101, 100, 103:400]]])
+        assert simple_flags_oracle(long_cells, diameter_oracle(long_cells)).tolist() == [True, False]
+        stacks.append(long_cells)
         cells = [V[i] for V in stacks for i in range(len(V))]
         order = rng.permutation(len(cells))
         offsets = np.r_[0, np.cumsum([len(cells[k]) for k in order])]

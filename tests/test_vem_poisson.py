@@ -22,6 +22,7 @@ from sample_meshes import (
     SQUARE_ELEMS,
     SQUARE_NODES,
     base_mesh_pool,
+    centroidal_voronoi_mesh,
     hexagon_patch,
     one_cell,
     pentagon_pair,
@@ -94,6 +95,15 @@ def refined_8x8():
     for _ in range(2):
         nodes, elems = refine(nodes, elems, np.flatnonzero(rng.random(len(elems)) < 0.2))
     return nodes, elems
+
+
+def voronoi_0():
+    return centroidal_voronoi_mesh(0)
+
+
+def strip_64x2():
+    """64 x 2 cells: every free unknown lies on the line y = 1/2."""
+    return structured_quad_mesh(64, 2)
 
 
 @st.composite
@@ -292,8 +302,8 @@ class TestSolve:
                 assert abs(w[0]) < 1e-12  # constant kernel only
                 assert w[1] > 1e-9
 
-    @pytest.mark.parametrize("make_mesh", [pentagon_pair, square_and_hung_rectangle, refined_8x8],
-                             ids=lambda make: make.__name__)
+    @pytest.mark.parametrize("make_mesh", [pentagon_pair, square_and_hung_rectangle, refined_8x8, voronoi_0,
+                                           strip_64x2], ids=lambda make: make.__name__)
     def test_matches_dense_solve(self, make_mesh):
         nodes, elems = make_mesh()
         g = lambda x, y: np.sin(3.0 * x) + x * y
@@ -374,3 +384,36 @@ def test_factorization_independent_of_node_numbering(monkeypatch):
     assert np.abs(A.data - B.data).max() <= 1e-14 * np.abs(A.data).max()
     u, v = solutions[0], solutions[1][perm]
     assert np.abs(u - v).max() <= 1e-13 * np.abs(u).max()
+
+
+def peak_run_mesh():
+    """The adaptive peak-problem mesh that the numbering test also builds."""
+    u_exact, f = gaussian_peak_problem()
+    run = adaptive_loop(*structured_quad_mesh(8), f, u_exact, dof_cap=5000)
+    return run.nodes, run.elements
+
+
+@pytest.mark.parametrize("make_mesh", [peak_run_mesh, lambda: structured_quad_mesh(128)],
+                         ids=["peak_5000", "quad128"])
+def test_dissection_fill_within_minimum_degree(monkeypatch, make_mesh):
+    """The factor ``solve_dirichlet`` builds has no more fill than minimum
+    degree on ``A + A^T`` gives the same free unknowns numbered row by row."""
+    nodes, elems = make_mesh()
+    factors = []
+    real_splu = vem_poisson.splu
+
+    def recording_splu(A, *args, **kwargs):
+        factors.append(real_splu(A, *args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(vem_poisson, "splu", recording_splu)
+    system = assemble(nodes, elems, build_topology(nodes, elems), one)
+    solve_dirichlet(system, zero)
+
+    b = system.boundary_mask
+    rows = np.lexsort((nodes[:, 0], nodes[:, 1]))
+    free = rows[~b[rows]]
+    mmd = real_splu(system.matrix[free][:, free].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True})
+    (lu,) = factors
+    assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
