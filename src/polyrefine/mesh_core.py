@@ -297,7 +297,8 @@ def build_topology(nodes, elements) -> MeshTopology:
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
     # the one hanging-node test: within HANGING_TOL_REL diameters of the neighbours' midpoint
-    d = nodes[conc] - 0.5 * (nodes[conc[prv]] + nodes[conc[nxt]])
+    v = np.take(nodes, conc, axis=0)  # np.take gathers rows about 5x faster than nodes[conc]
+    d = v - 0.5 * (np.take(v, prv, axis=0) + np.take(v, nxt, axis=0))
     tol = np.repeat(HANGING_TOL_REL * diameter, np.diff(offsets))
     hanging = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < tol  # np.linalg.norm's bits, in half its time
     return MeshTopology(edge, edge2elem, area, centroid, diameter, offsets, conc, inv, hanging)
@@ -385,7 +386,7 @@ def _duplicate_node_pairs(nodes, radius):
     stay in int64 range.
     """
     n = len(nodes)
-    local = nodes - nodes.min(axis=0)
+    local = nodes - [nodes[:, 0].min(), nodes[:, 1].min()]  # column by column, faster than axis 0
     found = [np.zeros(0, dtype=np.int64)]
     for shift in ((0.0, 0.0), (0.0, radius), (radius, 0.0), (radius, radius)):
         kx, ky = np.floor((local + shift) / (2.0 * radius)).astype(np.int64).T
@@ -422,8 +423,7 @@ def validate_mesh(nodes, elements) -> ValidationReport:
         return ValidationReport(out)
 
     if len(nodes) >= 2:
-        span = nodes.max(axis=0) - nodes.min(axis=0)
-        bbox_diag = float(np.hypot(*span))
+        bbox_diag = float(np.hypot(np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1])))
         tol = 1e-12 * bbox_diag if bbox_diag > 0 else 1e-300
         for i, j in _duplicate_node_pairs(nodes, tol):
             out.append(Violation("duplicate-nodes", (i, j), "nodes coincide"))
@@ -499,9 +499,9 @@ def check_conformity(nodes, elements, topology: MeshTopology | None = None) -> l
     owner = _cycle_owners(topo.offsets)
     d = topo.diameter[owner]
     prv, nxt = _cycle_shifts(topo.offsets)
-    v = nodes[idx]
-    prev = v[prv]
-    nxtv = v[nxt]
+    v = np.take(nodes, idx, axis=0)
+    prev = np.take(v, prv, axis=0)
+    nxtv = np.take(v, nxt, axis=0)
     chord = nxtv - prev
     clen = np.linalg.norm(chord, axis=1)
     off = np.abs(chord[:, 0] * (v[:, 1] - prev[:, 1]) - chord[:, 1] * (v[:, 0] - prev[:, 0]))

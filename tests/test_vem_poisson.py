@@ -106,6 +106,15 @@ def strip_64x2():
     return structured_quad_mesh(64, 2)
 
 
+def graded_toward_point():
+    """An 8x8 grid whose cell nearest (0.3, 0.4) is refined 20 times: h_min / h_max is about 1e-6."""
+    nodes, elems = structured_quad_mesh(8)
+    for _ in range(20):
+        c = build_topology(nodes, elems).centroid
+        nodes, elems = refine(nodes, elems, [int(np.argmin(np.hypot(c[:, 0] - 0.3, c[:, 1] - 0.4)))])
+    return nodes, elems
+
+
 @st.composite
 def convex_polygons(draw):
     """Counterclockwise convex polygons with 3-8 vertices on an ellipse."""
@@ -303,7 +312,7 @@ class TestSolve:
                 assert w[1] > 1e-9
 
     @pytest.mark.parametrize("make_mesh", [pentagon_pair, square_and_hung_rectangle, refined_8x8, voronoi_0,
-                                           strip_64x2], ids=lambda make: make.__name__)
+                                           strip_64x2, graded_toward_point], ids=lambda make: make.__name__)
     def test_matches_dense_solve(self, make_mesh):
         nodes, elems = make_mesh()
         g = lambda x, y: np.sin(3.0 * x) + x * y
@@ -323,6 +332,25 @@ class TestSolve:
         # an interior node that no element references leaves an empty row
         nodes = np.vstack([SQUARE_NODES, [[0.5, 0.5]]])
         system = assemble(nodes, SQUARE_ELEMS, build_topology(nodes, SQUARE_ELEMS), one)
+        with pytest.raises(SolverError):
+            solve_dirichlet(system, zero)
+
+    @pytest.mark.parametrize("factor", [1e300, 1e-300])
+    def test_extreme_dirichlet_data_scales_the_solution(self, factor):
+        # the norms of the unscaled reduced system would overflow (1e300) or underflow to 0 (1e-300)
+        nodes, elems = refine(*structured_quad_mesh(2), [0])
+        system = assemble(nodes, elems, build_topology(nodes, elems), zero)
+        affine = lambda x, y: 0.7 + 1.3 * np.asarray(x, float) - 2.1 * np.asarray(y, float)
+        u = solve_dirichlet(system, affine)
+        scaled = solve_dirichlet(system, lambda x, y: factor * affine(x, y))
+        assert np.abs(scaled - factor * u).max() <= 1e-12 * np.abs(factor * u).max()
+
+    def test_corrections_that_diverge_raise_solver_error(self, monkeypatch):
+        # a factor of -A turns every correction around, so the residual never halves
+        real_splu = vem_poisson.splu
+        monkeypatch.setattr(vem_poisson, "splu", lambda A, *args, **kwargs: real_splu(-A, *args, **kwargs))
+        nodes, elems = structured_quad_mesh(4)
+        system = assemble(nodes, elems, build_topology(nodes, elems), one)
         with pytest.raises(SolverError):
             solve_dirichlet(system, zero)
 
@@ -417,3 +445,24 @@ def test_dissection_fill_within_minimum_degree(monkeypatch, make_mesh):
                     options={"SymmetricMode": True})
     (lu,) = factors
     assert lu.L.nnz + lu.U.nnz <= mmd.L.nnz + mmd.U.nnz
+
+
+def test_single_precision_factor_refined_to_round_off(monkeypatch):
+    """SuperLU gets the matrix in float32, and the float64 corrections reach
+    round-off, well below the 1e-10 residual gate."""
+    nodes, elems = peak_run_mesh()
+    factored = []
+    real_splu = vem_poisson.splu
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A.dtype)
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(vem_poisson, "splu", recording_splu)
+    system = assemble(nodes, elems, build_topology(nodes, elems), one)
+    u = solve_dirichlet(system, zero)
+
+    assert factored == [np.float32]
+    free = ~system.boundary_mask
+    A, rhs = system.matrix[free][:, free], system.rhs[free]  # zero Dirichlet data
+    assert np.linalg.norm(A @ u[free] - rhs) <= 1e-13 * np.linalg.norm(rhs)
