@@ -153,7 +153,8 @@ def adaptive_loop(nodes, elements, f, g, theta: float = 0.4, max_steps: int = 30
         u = solve_dirichlet(system, g)
         eta = estimate(nodes, elements, topology, u, f)
         total = total_indicator(eta)
-        energy = float(np.sqrt(max(u @ (system.matrix @ u), 0.0)))
+        # einsum, not a BLAS dot, so that no thread pool is left spinning
+        energy = float(np.sqrt(max(np.einsum("i,i", u, system.matrix @ u), 0.0)))
         if total <= 1e-12 * max(energy, 1.0):
             marked = np.empty(0, dtype=np.int64)
         else:

@@ -525,29 +525,60 @@ def check_conformity(nodes, elements, topology: MeshTopology | None = None) -> l
     return out
 
 
+def _morton(qx, qy):
+    """Morton codes of 26-bit unsigned coordinates (uint64), the x bit above the y bit.
+
+    Each pair of bits, from the top, is one level of a quadtree, so the
+    points of one quadtree cell are one run of the codes in sorted order.
+    """
+    code = np.zeros(len(qx), dtype=np.uint64)
+    for q, place in ((qx, 1), (qy, 0)):
+        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
+                            (2, 0x3333333333333333), (1, 0x5555555555555555)):
+            q = (q | (q << np.uint64(shift))) & np.uint64(mask)
+        code |= q << np.uint64(place)
+    return code
+
+
 def _nodes_inside_sides(nodes, a, b):
     """``(side, node)`` pairs, sorted, with the node strictly inside side ``a[k]b[k]``.
 
-    Candidates are the nodes in a padded strip around each side's bounding
-    box along whichever axis holds fewer nodes, so memory stays linear in
-    the number of nodes plus candidates.
+    The finite nodes are sorted by their Morton code on a 26-bit quadtree
+    over their bounding box.  Candidates for a side are the nodes of the
+    quadtree cells, at most 2 x 2, that cover its padded bounding box on the
+    deepest level where that many do; each cell is one run of the sorted
+    codes and at most twice the box's longer extent, so the candidates of a
+    side are the nodes near it and memory stays linear in nodes plus sides.
     """
     ab = b - a
     L2 = np.sum(ab * ab, axis=1)
     pad = 2e-9 * np.sqrt(L2) + 4.0 * EPS * np.maximum(np.abs(a), np.abs(b)).max(axis=1)
-    lo = np.minimum(a, b) - pad[:, None]
-    hi = np.maximum(a, b) + pad[:, None]
-    order = np.argsort(nodes, axis=0, kind="stable")
-    xs, ys = np.take_along_axis(nodes, order, axis=0).T
-    start_x = np.searchsorted(xs, lo[:, 0], side="left")
-    start_y = np.searchsorted(ys, lo[:, 1], side="left")
-    count_x = np.searchsorted(xs, hi[:, 0], side="right") - start_x
-    count_y = np.searchsorted(ys, hi[:, 1], side="right") - start_y
-    axis = (count_y < count_x).astype(np.intp)  # a tie keeps x
-    count = np.where(axis, count_y, count_x) * (L2 > 0)  # a side of zero length has no inside
-    k = np.repeat(np.arange(len(a)), count)
-    first = np.repeat(np.where(axis, start_y, start_x) - (np.cumsum(count) - count), count)
-    j = order[first + np.arange(len(k)), axis[k]]
+    finite = np.flatnonzero(np.isfinite(nodes).all(axis=1))  # a non-finite node lies inside no side
+    p = nodes[finite]
+    origin = np.array([p[:, 0].min(), p[:, 1].min()])
+    scale = (2**26 - 1) / (max(p[:, 0].max() - origin[0], p[:, 1].max() - origin[1]) or 1.0)
+
+    def grid(v):  # monotone, so a node inside a box lies inside the box's grid corners
+        return np.clip((v - origin) * scale, 0, 2**26 - 1).astype(np.uint64).T
+
+    code = _morton(*grid(p))
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    lo, hi = grid(np.minimum(a, b) - pad[:, None]), grid(np.maximum(a, b) + pad[:, None])
+    # cells of 2**level grid steps, the smallest power of two above the box's extent
+    level = np.frexp((hi - lo).max(axis=0).astype(float))[1].astype(np.uint64)
+    lo, hi = lo >> level, hi >> level
+    low_bits = (np.uint64(1) << (np.uint64(2) * level)) - np.uint64(1)
+    starts, counts = [], []
+    for cx, new_x in ((lo[0], True), (hi[0], hi[0] != lo[0])):
+        for cy, new_y in ((lo[1], True), (hi[1], hi[1] != lo[1])):
+            first = _morton(cx << level, cy << level)
+            starts.append(np.searchsorted(code, first, side="left"))
+            # a box inside one column or row of cells reads that cell once
+            counts.append((np.searchsorted(code, first | low_bits, side="right") - starts[-1]) * (new_x & new_y))
+    count = np.concatenate(counts) * np.tile(L2 > 0, 4)  # a side of zero length has no inside
+    k = np.repeat(np.tile(np.arange(len(a)), 4), count)
+    j = finite[order[np.repeat(np.concatenate(starts) - (np.cumsum(count) - count), count) + np.arange(len(k))]]
     # parameter of each candidate node along its side, clipped off the endpoints
     t = ((nodes[j] - a[k]) * ab[k]).sum(-1) / L2[k]
     proj = a[k] + t[:, None] * ab[k]

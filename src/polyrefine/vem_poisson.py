@@ -6,10 +6,20 @@ vertex.  Stiffness matrices combine the exactly computable consistency part
 integrals only) with an identity-scaled stabilization of the projection
 remainder.  The load uses one-point centroid quadrature.  Dirichlet data is
 eliminated before the sparse direct solve, a symmetric-mode LU that pivots
-on the diagonal the way a sparse Cholesky factorization would.  The factor
-is float32, which halves the memory its values take; float64 residuals,
-each corrected by one float32 solve, bring the solution back to double
-precision, and stop at the first correction that does not halve the
+on the diagonal the way a sparse Cholesky factorization would.
+
+Each O(nnz) step runs once.  The local matrices are built with the cells on
+the last, contiguous axis, and their ``sum L^2`` triplets are written in
+place into int32 row and column arrays and one float64 value array.  The
+solve reads its right-hand side and every residual through the full matrix,
+so the one reduced matrix is the float32 copy that SuperLU factors.  The
+solve's norms (and the energy in ``adaptivity``) are einsum sums, not BLAS
+dots: a threaded OpenBLAS ``ddot`` leaves its worker threads spinning for
+about 0.13 CPU-s after it returns.
+
+The factor is float32, which halves the memory its values take; float64
+residuals, each corrected by one float32 solve, bring the solution back to
+double precision, and stop at the first correction that does not halve the
 residual norm (four corrections reached round-off on every mesh measured,
 up to 263,169 nodes).  The right-hand side is first scaled by a power of
 two, so data of any size neither overflows nor underflows float32 or the
@@ -32,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh_core import MeshError, MeshTopology, _as_nodes, _length_groups
+from .mesh_core import MeshError, MeshTopology, _as_nodes, _length_groups, _morton
 
 
 # relative residual ``|A u - b| / |b|`` above which a solve is rejected
@@ -57,26 +67,44 @@ class LinearSystem:
     coords: np.ndarray
 
 
-def _batched_stiffness(V: np.ndarray, area: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Local stiffness matrices of a stack of same-size polygons (M, Nv, 2).
+def _batched_stiffness(x: np.ndarray, y: np.ndarray, area: np.ndarray) -> np.ndarray:
+    """Local stiffness matrices of ``k`` polygons of ``n`` vertices, as an (n, n, k) array.
 
-    ``area`` is the signed area (positive for counterclockwise vertices) and
-    ``h`` the diameter of each polygon.  With ``g_j`` the gradient of the
-    projection of the ``j``-th vertex basis function and ``Pi`` the vertex
-    values of the projection, ``K = |K| g g^T + (I - Pi)^T (I - Pi)``.
+    ``x`` and ``y`` (n, k) hold the vertex coordinates with the cells on the
+    last, contiguous axis, so every operation runs along ``k``; ``area`` is
+    the signed area (positive for counterclockwise vertices).  With ``G``
+    (n x 2) the gradients of the projections of the vertex basis functions,
+    ``D`` the centred vertices and ``C = I - 11^T / n``, the consistency part
+    ``|K| G G^T`` plus the stabilization ``R^T R``, ``R = C - D G^T``, is
+    ``C - D G^T - G D^T + G M G^T`` with ``M = |K| I + D^T D``, since
+    ``C D = D``.  It is built entry by entry as ``C + G Z^T + Z G^T``,
+    ``Z = G M / 2 - D``, the x pair and the y pair each summed first, so
+    that it is exactly symmetric.
     """
-    # the scaled-monomial projection matrix G has det G = (|K| / h^2)^2; require det G >= 1e-14
-    if not (np.abs(area) >= 1e-7 * h * h).all():
-        raise SingularProjectionError("projection matrix is singular")
-    n = V.shape[1]
-    x, y = V[..., 0], V[..., 1]
-    a2 = 2.0 * area[:, None]
-    gx = (np.roll(y, -1, axis=1) - np.roll(y, 1, axis=1)) / a2
-    gy = (np.roll(x, 1, axis=1) - np.roll(x, -1, axis=1)) / a2
-    d = V - V.mean(axis=1, keepdims=True)
-    R = np.eye(n) - 1.0 / n - d[..., 0, None] * gx[:, None, :] - d[..., 1, None] * gy[:, None, :]
-    Kc = area[:, None, None] * (gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :])
-    return Kc + np.swapaxes(R, 1, 2) @ R
+    n = len(x)
+    a2 = 2.0 * area
+    gx = (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)) / a2
+    gy = (np.roll(x, 1, axis=0) - np.roll(x, -1, axis=0)) / a2
+    dx = x - x.mean(axis=0)
+    dy = y - y.mean(axis=0)
+    # M / 2, with einsum summing each column without a temporary
+    mxy = 0.5 * np.einsum("ik,ik->k", dx, dy)
+    zx = 0.5 * (area + np.einsum("ik,ik->k", dx, dx)) * gx + mxy * gy - dx
+    zy = mxy * gx + 0.5 * (area + np.einsum("ik,ik->k", dy, dy)) * gy - dy
+    K = gx[:, None] * zx
+    tmp = zx[:, None] * gx
+    K += tmp
+    Ky = gy[:, None] * zy
+    np.multiply(zy[:, None], gy, out=tmp)
+    Ky += tmp
+    K += Ky
+    K += (np.eye(n) - 1.0 / n)[:, :, None]
+    return K
+
+
+# cells per kernel call: keeps the (n, n, cells) temporaries of quadrilaterals
+# near 0.5 MB, in cache (a whole 512^2 grid at once takes 1.8x as long)
+_CELL_BLOCK = 4096
 
 
 def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
@@ -84,25 +112,39 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
 
     ``f`` is called with coordinate arrays ``f(x, y)``.  Boundary vertices
     are the endpoints of edges incident to a single element.  Areas,
-    centroids and diameters are read from ``topology``.
+    centroids and diameters are read from ``topology``.  The ``sum L^2``
+    triplets are written in place, cell by cell, into int32 row and column
+    arrays and one float64 value array, the only copy before the CSR matrix.
     """
     nodes = _as_nodes(nodes)
     N = len(nodes)
     topology = topology._matching(elements)
     offsets, cycles = topology.offsets, topology.cycles
-    rows, cols, vals = [], [], []
-    for idx, cyc in _length_groups(offsets, cycles):
-        K = _batched_stiffness(np.take(nodes, cyc, axis=0), topology.area[idx], topology.diameter[idx])
-        rows.append(np.broadcast_to(cyc[:, :, None], K.shape).ravel())
-        cols.append(np.broadcast_to(cyc[:, None, :], K.shape).ravel())
-        vals.append(K.ravel())
-    A = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
-    ).tocsr()
-
     lengths = np.diff(offsets)
+    area, h = topology.area, topology.diameter
+    # the scaled-monomial projection matrix G has det G = (|K| / h^2)^2; require det G >= 1e-14
+    if not (np.abs(area) >= 1e-7 * h * h).all():
+        raise SingularProjectionError("projection matrix is singular")
+    size = int(np.sum(lengths * lengths))
+    rows = np.empty(size, dtype=np.int32)
+    cols = np.empty(size, dtype=np.int32)
+    vals = np.empty(size)
+    x, y = nodes[:, 0], nodes[:, 1]
+    start = 0
+    for idx, cyc in _length_groups(offsets, cycles):
+        k, L = cyc.shape
+        stop = start + k * L * L
+        rows[start:stop].reshape(k, L, L)[...] = cyc[:, :, None]
+        cols[start:stop].reshape(k, L, L)[...] = cyc[:, None, :]
+        out = vals[start:stop].reshape(k, L, L)
+        for s in range(0, k, _CELL_BLOCK):
+            c = cyc[s:s + _CELL_BLOCK].T
+            out[s:s + _CELL_BLOCK] = _batched_stiffness(x[c], y[c], area[idx[s:s + _CELL_BLOCK]]).transpose(2, 0, 1)
+        start = stop
+    A = sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+
     cen = topology.centroid
-    load = topology.area / lengths * np.asarray(f(cen[:, 0], cen[:, 1]), dtype=float)
+    load = area / lengths * np.asarray(f(cen[:, 0], cen[:, 1]), dtype=float)
     b = np.bincount(cycles, weights=np.repeat(load, lengths), minlength=N)
 
     bmask = np.zeros(N, dtype=bool)
@@ -124,14 +166,8 @@ def _dissection_order(coords: np.ndarray, A: sp.csr_matrix, free: np.ndarray) ->
     both halves of that cut, deeper separators first.
     """
     x, y = coords[free, 0], coords[free, 1]
-    span = max(np.ptp(x), np.ptp(y)) or 1.0
-    code = np.zeros(len(free), dtype=np.uint64)
-    for v, place in ((x, 1), (y, 0)):
-        q = ((v - v.min()) * ((2**26 - 1) / span)).astype(np.uint64)
-        for shift, mask in ((16, 0x0000FFFF0000FFFF), (8, 0x00FF00FF00FF00FF), (4, 0x0F0F0F0F0F0F0F0F),
-                            (2, 0x3333333333333333), (1, 0x5555555555555555)):
-            q = (q | (q << np.uint64(shift))) & np.uint64(mask)
-        code |= q << np.uint64(place)
+    scale = (2**26 - 1) / (max(np.ptp(x), np.ptp(y)) or 1.0)
+    code = _morton(((x - x.min()) * scale).astype(np.uint64), ((y - y.min()) * scale).astype(np.uint64))
 
     # the pattern of A is symmetric, so each row reads every entry it is an endpoint of
     n = A.shape[0]
@@ -141,8 +177,11 @@ def _dissection_order(coords: np.ndarray, A: sp.csr_matrix, free: np.ndarray) ->
     is_free[free] = True
     counts = np.diff(A.indptr)
     a, b = row_code[np.repeat(np.arange(n), counts)], row_code[A.indices]
-    bit = np.frexp((a ^ b).astype(float))[1] - 1  # exact for 52-bit codes; -1 where they agree
-    upper = is_free[A.indices] & (bit >= 0) & ((a >> np.maximum(bit, 0).astype(np.uint64)) & np.uint64(1) == 1)
+    # codes agree above the highest bit in which they differ, so the larger one has it set
+    upper = (a > b) & is_free[A.indices]
+    a ^= b
+    del b
+    bit = np.frexp(a)[1] - 1  # exact for 52-bit codes; -1 where they agree
     cut = np.full(n, -1)
     rows = counts > 0
     cut[rows] = np.maximum.reduceat(np.where(upper, bit, -1), A.indptr[:-1][rows])
@@ -162,45 +201,50 @@ def solve_dirichlet(system: LinearSystem, g) -> np.ndarray:
     factor, and the time it takes, do not depend on how the mesh numbers its
     nodes.
 
-    The factor is of the matrix cast to float32.  The reduced right-hand
-    side ``b`` is scaled by ``2**-e`` so that ``max |b|`` lies in [1/2, 1);
-    from ``u = 0``, each correction adds the float32 solve of the residual
-    ``r = b - A u``, which is recomputed in float64.  The corrections stop at
-    the first that does not halve ``|r|``, and the iterate with the smallest
-    ``|r|`` is kept.  Unless the system is finite and ``|r| <= 1e-10 |b|``
+    The factor is of the reduced matrix cast to float32, sliced from a
+    float32 copy of ``A`` in one expression.  The reduced right-hand side
+    ``b`` is ``(rhs - A u)[free]``, ``u`` zero on the free unknowns, scaled
+    by ``2**-e`` so that ``max |b|`` lies in [1/2, 1); from ``w = 0``, each
+    correction adds the float32 solve of the residual ``r = b - (A w)[free]``,
+    ``w`` zero on the boundary, which is recomputed in float64.  No float64
+    reduced matrix is built.  Norms are ``sqrt(einsum("i,i", r, r))``: the
+    BLAS dot of ``np.linalg.norm`` would leave OpenBLAS threads spinning.
+    The corrections stop at the first that does not halve ``|r|``, and the
+    iterate with the smallest ``|r|`` is kept.  Unless the system is finite and ``|r| <= 1e-10 |b|``
     (``RESIDUAL_RTOL``), ``SolverError`` is raised; otherwise the solution
     is scaled back by ``2**e``.  There is no option for the ordering or the
     precision, and no double-precision fallback.
     """
-    bmask = system.boundary_mask
+    A, bmask = system.matrix, system.boundary_mask
     u = np.zeros(len(system.rhs))
     x, y = system.coords[:, 0], system.coords[:, 1]
     u[bmask] = np.asarray(g(x[bmask], y[bmask]), dtype=float)
     order = np.lexsort((x, y))
     free = order[~bmask[order]]
     if len(free):
-        free = free[_dissection_order(system.coords, system.matrix, free)]
-        Af = system.matrix[free]
-        Aff = Af[:, free].tocsc()
-        rhs = system.rhs[free] - Af[:, bmask] @ u[bmask]
+        free = free[_dissection_order(system.coords, A, free)]
+        # u is zero on the free unknowns, so this is rhs - A_fb u_b
+        rhs = (system.rhs - A @ u)[free]
         # scaled by a power of two to max |b| in [1/2, 1), so float32 neither overflows nor underflows
         e = np.frexp(np.abs(rhs).max())[1]
         b = np.ldexp(rhs, -e)
         try:
-            lu = splu(Aff.astype(np.float32), permc_spec="NATURAL", diag_pivot_thresh=0.0,
+            lu = splu(A.astype(np.float32)[free][:, free].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
         except RuntimeError as exc:  # an exactly singular factor
             raise SolverError(str(exc)) from exc
-        # float64 corrections until one fails to halve the residual; the smallest residual is kept
+        # float64 corrections until one fails to halve the residual; the smallest residual is kept.
+        # Residuals are read from A w with w zero on the boundary, norms from einsum (not BLAS).
+        w = np.zeros(len(u))
         uf, r = np.zeros(len(free)), b
-        resid = bnorm = np.linalg.norm(b)
+        resid = bnorm = np.sqrt(np.einsum("i,i", b, b))
         while True:
-            un = uf + lu.solve(r.astype(np.float32))
-            rn = b - Aff @ un
-            rn_norm = np.linalg.norm(rn)
+            w[free] = uf + lu.solve(r.astype(np.float32))
+            rn = b - (A @ w)[free]
+            rn_norm = np.sqrt(np.einsum("i,i", rn, rn))
             halved = rn_norm < 0.5 * resid
             if rn_norm < resid:
-                uf, r, resid = un, rn, rn_norm
+                uf, r, resid = w[free], rn, rn_norm
             if not halved:
                 break
         # only a finite residual is kept, so a nan or inf can remain only in b

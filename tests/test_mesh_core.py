@@ -34,6 +34,7 @@ from polyrefine.mesh_core import (
     _cycle_arrays,
     _degenerate,
     _duplicate_node_pairs,
+    _nodes_inside_sides,
     _polygon_tables,
     _simple_flags,
     _star_flags,
@@ -978,6 +979,32 @@ class TestMeshAreaAndConformity:
             tracemalloc.stop()
         assert issues == []
         assert peak < 8 * 2**20
+
+    def test_side_search_memory_is_linear(self):
+        # both axis strips of a boundary side of a square grid hold a whole row or
+        # column of nodes, so a search that reads one strip per side peaks at 26 MB here
+        import tracemalloc
+
+        nodes, elems = structured_quad_mesh(256)
+        topo = build_topology(nodes, elems)
+        be = topo.edge[topo.boundary_edge_mask()]
+        tracemalloc.start()
+        try:
+            hits = list(_nodes_inside_sides(nodes, nodes[be[:, 0]], nodes[be[:, 1]]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hits == []
+        assert peak < 8 * 2**20
+
+    def test_unused_non_finite_node_is_inside_no_side(self):
+        # a T-junction: node 6 sits on the right side of cell 0, which does not list it
+        nodes = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 0.5], [1, 0.5], [2, 1]], dtype=float)
+        elems = [[0, 1, 2, 3], [1, 4, 5, 6], [6, 5, 7, 2]]
+        issues = check_conformity(nodes, elems)
+        assert issues == ["node 6 lies inside unmatched side (1, 2)"]
+        for bad in (np.nan, np.inf):
+            assert check_conformity(np.vstack([nodes, [[bad, 0.5]]]), elems) == issues
 
     def test_violations_match_dense_oracle(self):
         for nodes, elems in nonconforming_meshes():
