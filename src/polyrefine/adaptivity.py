@@ -35,23 +35,23 @@ def estimate(nodes, elements, topology: MeshTopology, u, f) -> np.ndarray:
     lengths = np.diff(offsets)
     _, nxt = _cycle_shifts(offsets)
     red = offsets[:-1]
-    p0 = np.take(nodes, conc, axis=0)  # np.take gathers rows about 5x faster than nodes[conc]
-    p1 = np.take(p0, nxt, axis=0)
+    x, y = nodes.T
+    x0, y0 = x[conc], y[conc]
     u0 = u[conc]
     u1 = u[conc[nxt]]
 
     area = topology.area
     # gradient of the elliptic projection from the boundary integral of u*n
-    gx = np.add.reduceat(0.5 * (u0 + u1) * (p1[:, 1] - p0[:, 1]), red) / area
-    gy = np.add.reduceat(-0.5 * (u0 + u1) * (p1[:, 0] - p0[:, 0]), red) / area
+    gx = np.add.reduceat(0.5 * (u0 + u1) * (y0[nxt] - y0), red) / area
+    gy = np.add.reduceat(-0.5 * (u0 + u1) * (x0[nxt] - x0), red) / area
 
     # stabilization remainder: Pi u at vertex j is ubar + grad . (V_j - Vbar)
     inv_len = 1.0 / lengths
     ubar = np.add.reduceat(u0, red) * inv_len
-    vbx = np.add.reduceat(p0[:, 0], red) * inv_len
-    vby = np.add.reduceat(p0[:, 1], red) * inv_len
+    vbx = np.add.reduceat(x0, red) * inv_len
+    vby = np.add.reduceat(y0, red) * inv_len
     rep = _cycle_owners(offsets)
-    r = u0 - (ubar[rep] + gx[rep] * (p0[:, 0] - vbx[rep]) + gy[rep] * (p0[:, 1] - vby[rep]))
+    r = u0 - (ubar[rep] + gx[rep] * (x0 - vbx[rep]) + gy[rep] * (y0 - vby[rep]))
     eta2 = np.add.reduceat(r * r, red)
 
     h = topology.diameter

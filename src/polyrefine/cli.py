@@ -116,9 +116,11 @@ def _cmd_quality(args) -> int:
     for msg in issues:
         print(f"conformity: {msg}")
     hanging = int(topology.hanging.sum())
-    pts = nodes[topology.cycles]
+    x, y = nodes.T
+    x0, y0 = x[topology.cycles], y[topology.cycles]
     _, nxt = _cycle_shifts(topology.offsets)
-    sides = np.linalg.norm(pts[nxt] - pts, axis=1)
+    dx, dy = x0[nxt] - x0, y0[nxt] - y0
+    sides = np.sqrt(dx * dx + dy * dy)
     ratios = sides / np.repeat(topology.diameter, np.diff(topology.offsets))
     print(f"nodes {len(nodes)}, elements {len(elements)}, edges {topology.num_edges}")
     print(f"hanging nodes: {hanging}")

@@ -229,22 +229,55 @@ def _degenerate(area, diameter):
     return np.abs(area) < 1e-14 * diameter * diameter
 
 
-def _require_indices(offsets, cycles):
-    """Raise ``InvalidIndexError`` for the first element with an entry that is not a vertex index."""
+def _edge_table(a, b, n):
+    """Undirected edges of the sides ``a[p] -> b[p]`` between vertices below ``n``: the
+    distinct pairs ``(min, max)``, sorted lexicographically as the keys ``min * n + max``,
+    with the first side of each, the edge of each side and the use count of each."""
+    key, first, inv, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                                        return_index=True, return_inverse=True, return_counts=True)
+    return np.column_stack([key // n, key % n]), first, inv, counts
+
+
+def _bounding_box(points):
+    """Corners ``lo`` and ``hi`` of the bounding box of ``points`` (N, 2), taken column by
+    column (numpy reduces along axis 0 far more slowly), and ``grid``, which maps points to
+    their uint64 cells (x row, y row) of a 26-bit quadtree over the box scaled to a square:
+    monotone and clipped, so a point inside a box lies inside the box's grid corners."""
+    lo = np.array([points[:, 0].min(), points[:, 1].min()])
+    hi = np.array([points[:, 0].max(), points[:, 1].max()])
+    scale = (2**26 - 1) / (max(hi - lo) or 1.0)
+
+    def grid(v):
+        return np.clip((v - lo) * scale, 0, 2**26 - 1).astype(np.uint64).T
+
+    return lo, hi, grid
+
+
+def _indexed_cycles(elements, n):
+    """``_cycle_arrays`` of an element table whose entries must all be vertex indices:
+    raises ``InvalidIndexError`` for the first element with an entry that is not."""
+    offsets, cycles = _cycle_arrays(elements, n)
     bad = np.flatnonzero(cycles < 0)
     if bad.size:
         raise InvalidIndexError(f"element {_cycle_owners(offsets)[bad[0]]}: an entry is not a vertex index")
+    return offsets, cycles
 
 
 def _checked_tables(nodes, elements):
     """Flat cycle arrays and ``_polygon_tables`` of an element table that must be
-    valid: raises ``DegeneratePolygonError`` or ``InvalidIndexError`` on the first bad element."""
-    offsets, cycles = _cycle_arrays(elements, len(nodes))
-    lengths = np.diff(offsets)
+    valid: raises ``DegeneratePolygonError`` or ``InvalidIndexError`` on the first bad
+    element, a cycle of fewer than 3 vertices before an entry that is not an index."""
+    try:
+        offsets, cycles = _indexed_cycles(elements, len(nodes))
+    except InvalidIndexError as exc:
+        error, lengths = exc, np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
+    else:
+        error, lengths = None, np.diff(offsets)
     short = np.flatnonzero(lengths < 3)
     if short.size:
         raise DegeneratePolygonError(f"element {int(short[0])} has {int(lengths[short[0]])} vertices")
-    _require_indices(offsets, cycles)
+    if error is not None:
+        raise error
     area, centroid, diameter = _polygon_tables(nodes, offsets, cycles)
     bad = _degenerate(area, diameter)
     if bad.any():
@@ -278,16 +311,11 @@ def build_topology(nodes, elements) -> MeshTopology:
         raise ValueError("element table is empty")
     offsets, conc, area, centroid, diameter = _checked_tables(nodes, elements)
 
-    # edge (a, b) with a < b as the key a * N + b, which sorts lexicographically
-    N = len(nodes)
     prv, nxt = _cycle_shifts(offsets)
-    key = np.minimum(conc, conc[nxt]) * N + np.maximum(conc, conc[nxt])
-    ukey, first, inv = np.unique(key, return_index=True, return_inverse=True)
-    edge = np.column_stack([ukey // N, ukey % N])
-    counts = np.bincount(inv, minlength=len(edge))
+    edge, first, inv, counts = _edge_table(conc, conc[nxt], len(nodes))
     if (counts > 2).any():
         k = int(np.flatnonzero(counts > 2)[0])
-        raise NonManifoldEdgeError(f"edge {tuple(edge[k])} shared by {int(counts[k])} elements")
+        raise NonManifoldEdgeError(f"edge {tuple(edge[k].tolist())} shared by {int(counts[k])} elements")
 
     owners = _cycle_owners(offsets)
     last = np.empty(len(edge), dtype=np.int64)
@@ -297,10 +325,11 @@ def build_topology(nodes, elements) -> MeshTopology:
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
     # the one hanging-node test: within HANGING_TOL_REL diameters of the neighbours' midpoint
-    v = np.take(nodes, conc, axis=0)  # np.take gathers rows about 5x faster than nodes[conc]
-    d = v - 0.5 * (np.take(v, prv, axis=0) + np.take(v, nxt, axis=0))
+    x, y = nodes.T
+    x0, y0 = x[conc], y[conc]
+    dx, dy = x0 - 0.5 * (x0[prv] + x0[nxt]), y0 - 0.5 * (y0[prv] + y0[nxt])
     tol = np.repeat(HANGING_TOL_REL * diameter, np.diff(offsets))
-    hanging = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < tol  # np.linalg.norm's bits, in half its time
+    hanging = np.sqrt(dx * dx + dy * dy) < tol  # np.linalg.norm's bits, in half its time
     return MeshTopology(edge, edge2elem, area, centroid, diameter, offsets, conc, inv, hanging)
 
 
@@ -386,8 +415,8 @@ def _duplicate_node_pairs(nodes, radius):
     stay in int64 range.
     """
     n = len(nodes)
-    local = nodes - [nodes[:, 0].min(), nodes[:, 1].min()]  # column by column, faster than axis 0
-    found = [np.zeros(0, dtype=np.int64)]
+    local = nodes - _bounding_box(nodes)[0]
+    found = [np.zeros((2, 0), dtype=np.int64)]
     for shift in ((0.0, 0.0), (0.0, radius), (radius, 0.0), (radius, radius)):
         kx, ky = np.floor((local + shift) / (2.0 * radius)).astype(np.int64).T
         order = np.lexsort((ky, kx))
@@ -398,9 +427,8 @@ def _duplicate_node_pairs(nodes, radius):
                 break
             i, j = order[p], order[p + k]
             close = np.linalg.norm(nodes[i] - nodes[j], axis=1) < radius
-            found.append((np.minimum(i, j) * n + np.maximum(i, j))[close])
-    pairs = np.unique(np.concatenate(found))
-    return list(zip((pairs // n).tolist(), (pairs % n).tolist()))
+            found.append(np.stack([i, j])[:, close])
+    return list(map(tuple, _edge_table(*np.concatenate(found, axis=1), n)[0].tolist()))
 
 
 def validate_mesh(nodes, elements) -> ValidationReport:
@@ -423,7 +451,8 @@ def validate_mesh(nodes, elements) -> ValidationReport:
         return ValidationReport(out)
 
     if len(nodes) >= 2:
-        bbox_diag = float(np.hypot(np.ptp(nodes[:, 0]), np.ptp(nodes[:, 1])))
+        lo, hi, _ = _bounding_box(nodes)
+        bbox_diag = float(np.hypot(*(hi - lo)))
         tol = 1e-12 * bbox_diag if bbox_diag > 0 else 1e-300
         for i, j in _duplicate_node_pairs(nodes, tol):
             out.append(Violation("duplicate-nodes", (i, j), "nodes coincide"))
@@ -447,13 +476,13 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     passed = ~(few | invalid | repeated)
     geometric = np.flatnonzero(passed)
     goffsets, gcycles = _cells(offsets, conc, passed)
-    # edges of more than two of them, keyed a * N + b (a < b) as in build_topology
+    # edges of more than two of them, from the edge table of build_topology
     a, b = gcycles, gcycles[_cycle_shifts(goffsets)[1]]
-    keys, uses, counts = np.unique(np.minimum(a, b) * N + np.maximum(a, b),
-                                   return_inverse=True, return_counts=True)
+    edge, _, uses, counts = _edge_table(a, b, N)
     crowded = counts > 2
-    for k, c in zip(keys[crowded].tolist(), counts[crowded].tolist()):
-        out.append(Violation("non-manifold-edge", (k // N, k % N), f"edge shared by {c} elements"))
+    for e, c in zip(edge[crowded].tolist(), counts[crowded].tolist()):
+        out.append(Violation("non-manifold-edge", tuple(e), f"edge shared by {c} elements"))
+    del edge, _  # the checks below read only the use counts
     area, centroid, diam = _polygon_tables(nodes, goffsets, gcycles)
     degenerate = _degenerate(area, diam)
     clockwise = ~degenerate & (area < 0)
@@ -497,17 +526,16 @@ def check_conformity(nodes, elements, topology: MeshTopology | None = None) -> l
     topo = build_topology(nodes, elements) if topology is None else topology._matching(elements)
     idx = topo.cycles
     owner = _cycle_owners(topo.offsets)
-    d = topo.diameter[owner]
     prv, nxt = _cycle_shifts(topo.offsets)
-    v = np.take(nodes, idx, axis=0)
-    prev = np.take(v, prv, axis=0)
-    nxtv = np.take(v, nxt, axis=0)
-    chord = nxtv - prev
-    clen = np.linalg.norm(chord, axis=1)
-    off = np.abs(chord[:, 0] * (v[:, 1] - prev[:, 1]) - chord[:, 1] * (v[:, 0] - prev[:, 0]))
-    flat = (off < 1e-8 * d * np.where(clen > 0, clen, 1.0)) & \
-           (np.sum((v - prev) * chord, axis=1) > 0) & \
-           (np.sum((v - nxtv) * -chord, axis=1) > 0)
+    x, y = nodes.T
+
+    def legs(v):  # from the previous vertex, to the next one, and the chord between them
+        p, n = v[prv], v[nxt]
+        return v - p, n - v, n - p
+
+    (ax, bx, cx), (ay, by, cy) = legs(x[idx]), legs(y[idx])
+    flat = (np.abs(cx * ay - cy * ax) < 1e-8 * topo.diameter[owner] * np.sqrt(cx * cx + cy * cy)) & \
+           (ax * cx + ay * cy > 0) & (bx * cx + by * cy > 0)
     double = flat & flat[nxt]
     off_mid = flat & ~flat[prv] & ~flat[nxt] & ~topo.hanging
     # per element: the double-hang report first, then off-midpoint nodes in cycle order
@@ -555,12 +583,7 @@ def _nodes_inside_sides(nodes, a, b):
     pad = 2e-9 * np.sqrt(L2) + 4.0 * EPS * np.maximum(np.abs(a), np.abs(b)).max(axis=1)
     finite = np.flatnonzero(np.isfinite(nodes).all(axis=1))  # a non-finite node lies inside no side
     p = nodes[finite]
-    origin = np.array([p[:, 0].min(), p[:, 1].min()])
-    scale = (2**26 - 1) / (max(p[:, 0].max() - origin[0], p[:, 1].max() - origin[1]) or 1.0)
-
-    def grid(v):  # monotone, so a node inside a box lies inside the box's grid corners
-        return np.clip((v - origin) * scale, 0, 2**26 - 1).astype(np.uint64).T
-
+    grid = _bounding_box(p)[2]
     code = _morton(*grid(p))
     order = np.argsort(code, kind="stable")
     code = code[order]

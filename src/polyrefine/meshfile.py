@@ -21,8 +21,7 @@ import math
 
 import numpy as np
 
-from .mesh_core import (MeshError, ValidationReport, _as_nodes, _cycle_arrays, _cycle_lists,
-                        _require_indices, validate_mesh)
+from .mesh_core import MeshError, ValidationReport, _as_nodes, _cycle_lists, _indexed_cycles, validate_mesh
 
 FORMAT_NAME = "polymesh"
 FORMAT_VERSION = 1
@@ -113,8 +112,7 @@ def save_mesh(nodes, elements, path) -> None:
     """Write a mesh with full (round-trip) coordinate precision; raises
     ``InvalidIndexError``, writing nothing, if an entry is not a vertex index."""
     nodes = _as_nodes(nodes)
-    offsets, cycles = _cycle_arrays(elements, len(nodes))
-    _require_indices(offsets, cycles)
+    offsets, cycles = _indexed_cycles(elements, len(nodes))
     out = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"nodes {len(nodes)}"]
     out += [f"{x!r} {y!r}" for x, y in nodes.tolist()]
     out.append(f"elements {len(elements)}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh_core import _as_nodes, _cycle_arrays, _cycle_lists, _length_groups, _require_indices
+from .mesh_core import _as_nodes, _bounding_box, _cycle_lists, _indexed_cycles, _length_groups
 
 
 def _fmt(v: float) -> str:
@@ -26,11 +26,8 @@ def render_svg(nodes, elements, path, values=None) -> None:
     ``ValueError`` unless ``values`` holds one finite number per vertex.
     """
     nodes = _as_nodes(nodes)
-    offsets, cycles = _cycle_arrays(elements, len(nodes))
-    _require_indices(offsets, cycles)
-    # column by column: numpy reduces an (N, 2) array along axis 0 far more slowly
-    lo = np.array([nodes[:, 0].min(), nodes[:, 1].min()])
-    hi = np.array([nodes[:, 0].max(), nodes[:, 1].max()])
+    offsets, cycles = _indexed_cycles(elements, len(nodes))
+    lo, hi, _ = _bounding_box(nodes)
     span = np.maximum(hi - lo, 1e-12)
     margin = 0.02 * span
     x0, y0 = lo - margin

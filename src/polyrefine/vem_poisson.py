@@ -4,34 +4,38 @@ On each polygon the local space is spanned by one degree of freedom per
 vertex.  Stiffness matrices combine the exactly computable consistency part
 (the elliptic projection onto affine functions, built from boundary
 integrals only) with an identity-scaled stabilization of the projection
-remainder.  The load uses one-point centroid quadrature.  Dirichlet data is
-eliminated before the sparse direct solve, a symmetric-mode LU that pivots
-on the diagonal the way a sparse Cholesky factorization would.
+remainder.  The load uses one-point centroid quadrature.
 
-Each O(nnz) step runs once.  The local matrices are built with the cells on
-the last, contiguous axis, and their ``sum L^2`` triplets are written in
-place into int32 row and column arrays and one float64 value array.  The
-solve reads its right-hand side and every residual through the full matrix,
-so the one reduced matrix is the float32 copy that SuperLU factors.  The
-solve's norms (and the energy in ``adaptivity``) are einsum sums, not BLAS
+Each O(nnz) step runs once.  ``assemble`` builds the local matrices with
+the cells on the last, contiguous axis and writes their ``sum L^2``
+triplets in place into int32 row and column arrays and one float64 value
+array.  ``solve_dirichlet`` eliminates the Dirichlet data ``u`` (zero on
+the free unknowns) and scales the reduced right-hand side ``b = (rhs -
+A u)[free]`` by ``2**-e`` to ``max |b|`` in [1/2, 1), so that data of any
+size neither overflows nor underflows float32 or the residual norms.  The
+reduced matrix, symmetric positive definite, is sliced from a float32 copy
+of ``A`` (half the memory of float64 values) and factored by SuperLU in
+symmetric mode with diagonal pivots, as a sparse Cholesky factorization
+would, in the order below (``permc_spec="NATURAL"``).  From ``w = 0``,
+each correction adds the float32 solve of the float64 residual ``r = b -
+(A w)[free]``, read through the full matrix, so the factor's is the one
+reduced matrix.  The corrections stop at the first that does not halve
+``|r|`` and keep the iterate with the smallest (four reached round-off on
+every mesh measured, up to 263,169 nodes); unless the system is finite and
+``|r| <= RESIDUAL_RTOL |b|``, ``SolverError`` is raised.
+
+The free unknowns are ordered by a geometric nested dissection
+(``_dissection_order``): a quadtree over their coordinates, each cut
+separated by the unknowns on one side of the matrix entries that cross it,
+and each separator ordered after the two halves it separates.  On 2-D
+meshes this gives less fill than minimum degree (3.9 M against 4.5 M
+nonzeros in L + U on a 41,744-node adaptive mesh).  The order is read from
+coordinates and the matrix graph only, with ties broken row by row, so the
+factor, and the time it takes, do not depend on how the mesh numbers its
+nodes.  Norms (and the energy in ``adaptivity``) are einsum sums, not BLAS
 dots: a threaded OpenBLAS ``ddot`` leaves its worker threads spinning for
-about 0.13 CPU-s after it returns.
-
-The factor is float32, which halves the memory its values take; float64
-residuals, each corrected by one float32 solve, bring the solution back to
-double precision, and stop at the first correction that does not halve the
-residual norm (four corrections reached round-off on every mesh measured,
-up to 263,169 nodes).  The right-hand side is first scaled by a power of
-two, so data of any size neither overflows nor underflows float32 or the
-residual norms.  The free unknowns are ordered by a geometric nested
-dissection: a quadtree over their coordinates, each cut separated by the
-unknowns on one side of the matrix entries that cross it, and each
-separator ordered after the two halves it separates.  On 2-D meshes this
-gives less fill than minimum degree (3.9 M against 4.5 M nonzeros in L + U
-on a 41,744-node adaptive mesh).  The order is read from coordinates and
-the matrix graph only, with ties broken row by row, so the factor does not
-depend on how the mesh numbers its nodes.  Precision and ordering have no
-option and no fallback.
+about 0.13 CPU-s after it returns.  Precision and ordering have no option
+and no fallback.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .mesh_core import MeshError, MeshTopology, _as_nodes, _length_groups, _morton
+from .mesh_core import MeshError, MeshTopology, _as_nodes, _bounding_box, _length_groups, _morton
 
 
 # relative residual ``|A u - b| / |b|`` above which a solve is rejected
@@ -112,9 +116,7 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
 
     ``f`` is called with coordinate arrays ``f(x, y)``.  Boundary vertices
     are the endpoints of edges incident to a single element.  Areas,
-    centroids and diameters are read from ``topology``.  The ``sum L^2``
-    triplets are written in place, cell by cell, into int32 row and column
-    arrays and one float64 value array, the only copy before the CSR matrix.
+    centroids and diameters are read from ``topology``.
     """
     nodes = _as_nodes(nodes)
     N = len(nodes)
@@ -148,8 +150,7 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
     b = np.bincount(cycles, weights=np.repeat(load, lengths), minlength=N)
 
     bmask = np.zeros(N, dtype=bool)
-    bedges = topology.edge[topology.boundary_edge_mask()]
-    bmask[np.unique(bedges)] = True
+    bmask[topology.edge[topology.boundary_edge_mask()]] = True
     return LinearSystem(A, b, bmask, nodes)
 
 
@@ -163,11 +164,11 @@ def _dissection_order(coords: np.ndarray, A: sp.csr_matrix, free: np.ndarray) ->
     which their codes differ, and its endpoint whose code has that bit set
     joins the cut's separator; a vertex stays in the separator of the
     shallowest cut it joins.  Its code with every lower bit set sorts it after
-    both halves of that cut, deeper separators first.
+    both halves of that cut, deeper separators first; ties by ``y``, then ``x``.
     """
-    x, y = coords[free, 0], coords[free, 1]
-    scale = (2**26 - 1) / (max(np.ptp(x), np.ptp(y)) or 1.0)
-    code = _morton(((x - x.min()) * scale).astype(np.uint64), ((y - y.min()) * scale).astype(np.uint64))
+    p = coords[free]
+    grid = _bounding_box(p)[2]
+    code = _morton(*grid(p))
 
     # the pattern of A is symmetric, so each row reads every entry it is an endpoint of
     n = A.shape[0]
@@ -187,40 +188,18 @@ def _dissection_order(coords: np.ndarray, A: sp.csr_matrix, free: np.ndarray) ->
     cut[rows] = np.maximum.reduceat(np.where(upper, bit, -1), A.indptr[:-1][rows])
     cut = cut[free]
     key = code | ((np.uint64(1) << (cut + 1).astype(np.uint64)) - np.uint64(1))
-    return np.lexsort((cut, key))  # stable: ties keep the order of free
+    return np.lexsort((p[:, 0], p[:, 1], cut, key))
 
 
 def solve_dirichlet(system: LinearSystem, g) -> np.ndarray:
-    """Solve with Dirichlet values ``g(x, y)`` on the boundary vertices.
-
-    The reduced matrix is symmetric positive definite, so it is factored
-    with diagonal pivots, its rows and columns in the nested dissection order
-    of ``_dissection_order``, which SuperLU keeps (``permc_spec="NATURAL"``).
-    That order is computed from the free vertices' coordinates and the
-    matrix graph, with ties broken row by row (by ``y``, then ``x``), so the
-    factor, and the time it takes, do not depend on how the mesh numbers its
-    nodes.
-
-    The factor is of the reduced matrix cast to float32, sliced from a
-    float32 copy of ``A`` in one expression.  The reduced right-hand side
-    ``b`` is ``(rhs - A u)[free]``, ``u`` zero on the free unknowns, scaled
-    by ``2**-e`` so that ``max |b|`` lies in [1/2, 1); from ``w = 0``, each
-    correction adds the float32 solve of the residual ``r = b - (A w)[free]``,
-    ``w`` zero on the boundary, which is recomputed in float64.  No float64
-    reduced matrix is built.  Norms are ``sqrt(einsum("i,i", r, r))``: the
-    BLAS dot of ``np.linalg.norm`` would leave OpenBLAS threads spinning.
-    The corrections stop at the first that does not halve ``|r|``, and the
-    iterate with the smallest ``|r|`` is kept.  Unless the system is finite and ``|r| <= 1e-10 |b|``
-    (``RESIDUAL_RTOL``), ``SolverError`` is raised; otherwise the solution
-    is scaled back by ``2**e``.  There is no option for the ordering or the
-    precision, and no double-precision fallback.
-    """
+    """Solve with Dirichlet values ``g(x, y)`` on the boundary vertices by the method of the
+    module docstring; raises ``SolverError`` if the reduced matrix is singular or the
+    residual misses ``RESIDUAL_RTOL``."""
     A, bmask = system.matrix, system.boundary_mask
     u = np.zeros(len(system.rhs))
     x, y = system.coords[:, 0], system.coords[:, 1]
     u[bmask] = np.asarray(g(x[bmask], y[bmask]), dtype=float)
-    order = np.lexsort((x, y))
-    free = order[~bmask[order]]
+    free = np.flatnonzero(~bmask)
     if len(free):
         free = free[_dissection_order(system.coords, A, free)]
         # u is zero on the free unknowns, so this is rhs - A_fb u_b
