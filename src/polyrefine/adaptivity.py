@@ -38,7 +38,7 @@ def estimate(nodes, elements, topology: MeshTopology, u, f) -> np.ndarray:
     x, y = nodes.T
     x0, y0 = x[conc], y[conc]
     u0 = u[conc]
-    u1 = u[conc[nxt]]
+    u1 = u0[nxt]
 
     area = topology.area
     # gradient of the elliptic projection from the boundary integral of u*n

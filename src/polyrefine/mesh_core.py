@@ -145,7 +145,7 @@ def _cycle_arrays(elements, n):
     except ValueError:  # nested sequences of unequal lengths
         arr = None
     if arr is not None and arr.ndim == 1 and arr.dtype.kind in "iu":
-        cycles = arr.astype(np.int64)
+        cycles = arr.astype(np.int64, copy=False)
         cycles[(arr < 0) | (arr >= n)] = -1
     else:
         scalars = (v[()] if isinstance(v, np.ndarray) and v.ndim == 0 else v for v in flat)
@@ -232,10 +232,9 @@ def _degenerate(area, diameter):
 def _edge_table(a, b, n):
     """Undirected edges of the sides ``a[p] -> b[p]`` between vertices below ``n``: the
     distinct pairs ``(min, max)``, sorted lexicographically as the keys ``min * n + max``,
-    with the first side of each, the edge of each side and the use count of each."""
-    key, first, inv, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
-                                        return_index=True, return_inverse=True, return_counts=True)
-    return np.column_stack([key // n, key % n]), first, inv, counts
+    with the edge of each side and the use count of each."""
+    key, inv, counts = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_inverse=True, return_counts=True)
+    return np.column_stack([key // n, key % n]), inv, counts
 
 
 def _bounding_box(points):
@@ -278,6 +277,10 @@ def _checked_tables(nodes, elements):
         raise DegeneratePolygonError(f"element {int(short[0])} has {int(lengths[short[0]])} vertices")
     if error is not None:
         raise error
+    if not np.isfinite(nodes).all():  # a cell with a nan or inf vertex has no geometry
+        used = np.flatnonzero(~np.isfinite(nodes[cycles]).all(axis=1))
+        if used.size:
+            raise DegeneratePolygonError(f"element {_cycle_owners(offsets)[used[0]]} uses a non-finite node")
     area, centroid, diameter = _polygon_tables(nodes, offsets, cycles)
     bad = _degenerate(area, diameter)
     if bad.any():
@@ -301,7 +304,7 @@ def build_topology(nodes, elements) -> MeshTopology:
     NonManifoldEdgeError
         If an edge is shared by more than two elements.
     DegeneratePolygonError
-        If an element has fewer than 3 vertices or numerically zero area.
+        If an element has fewer than 3 vertices, a non-finite vertex or vanishing area.
     TooDenseError
         If the smallest element diameter falls below ``4 * machine eps``.
     """
@@ -312,15 +315,15 @@ def build_topology(nodes, elements) -> MeshTopology:
     offsets, conc, area, centroid, diameter = _checked_tables(nodes, elements)
 
     prv, nxt = _cycle_shifts(offsets)
-    edge, first, inv, counts = _edge_table(conc, conc[nxt], len(nodes))
+    edge, inv, counts = _edge_table(conc, conc[nxt], len(nodes))
     if (counts > 2).any():
         k = int(np.flatnonzero(counts > 2)[0])
         raise NonManifoldEdgeError(f"edge {tuple(edge[k].tolist())} shared by {int(counts[k])} elements")
 
-    owners = _cycle_owners(offsets)
-    last = np.empty(len(edge), dtype=np.int64)
-    last[inv] = np.arange(inv.size)
-    edge2elem = np.column_stack([owners[first], owners[last]])
+    # the owners of each edge's first and last side: the last write of a repeated index wins
+    owners, edge2elem = _cycle_owners(offsets), np.empty((len(edge), 2), dtype=np.int64)
+    edge2elem[inv[::-1], 0] = owners[::-1]
+    edge2elem[inv, 1] = owners
 
     if diameter.min() < 4.0 * EPS:
         raise TooDenseError("the mesh is too dense")
@@ -476,13 +479,14 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     passed = ~(few | invalid | repeated)
     geometric = np.flatnonzero(passed)
     goffsets, gcycles = _cells(offsets, conc, passed)
+    del offsets, conc, owner, rest, key  # the checks below read only the passed cells
     # edges of more than two of them, from the edge table of build_topology
     a, b = gcycles, gcycles[_cycle_shifts(goffsets)[1]]
-    edge, _, uses, counts = _edge_table(a, b, N)
+    edge, uses, counts = _edge_table(a, b, N)
     crowded = counts > 2
     for e, c in zip(edge[crowded].tolist(), counts[crowded].tolist()):
         out.append(Violation("non-manifold-edge", tuple(e), f"edge shared by {c} elements"))
-    del edge, _  # the checks below read only the use counts
+    del edge  # the checks below read only the use counts
     area, centroid, diam = _polygon_tables(nodes, goffsets, gcycles)
     degenerate = _degenerate(area, diam)
     clockwise = ~degenerate & (area < 0)
@@ -493,6 +497,7 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     twice = directed[1:][directed[1:] == directed[:-1]]
     out.extend(Violation("overlap", (k // N, k % N), "edge traversed in the same direction by two elements")
                for k in twice.tolist())
+    del a, b, uses, counts, directed
     with np.errstate(invalid="ignore"):  # degenerate cells have inf/nan centroids
         outside = live & ~_star_flags(nodes, goffsets, gcycles, centroid, diam)
     # star-shaped implies simple, so only the rejected cells can be tangled
@@ -585,7 +590,7 @@ def _nodes_inside_sides(nodes, a, b):
     p = nodes[finite]
     grid = _bounding_box(p)[2]
     code = _morton(*grid(p))
-    order = np.argsort(code, kind="stable")
+    order = np.argsort(code)
     code = code[order]
     lo, hi = grid(np.minimum(a, b) - pad[:, None]), grid(np.maximum(a, b) + pad[:, None])
     # cells of 2**level grid steps, the smallest power of two above the box's extent

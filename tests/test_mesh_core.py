@@ -122,6 +122,28 @@ class TestBuildTopology:
         interior = topo.edge2elem[:, 0] != topo.edge2elem[:, 1]
         assert interior.sum() == sum(1 for v in seen.values() if v == 2) == 12
 
+    @pytest.mark.parametrize("mesh", ["grid", "voronoi", "scattered"])
+    def test_edge2elem_columns_hold_first_and_last_side_owners(self, mesh):
+        # column 0 owns the edge's first side in cycle order, column 1 its last
+        if mesh == "grid":
+            nodes, elems = structured_quad_mesh(3)
+        elif mesh == "voronoi":
+            nodes, elems = centroidal_voronoi_mesh(0)
+        else:
+            rng = np.random.default_rng(3)
+            nodes, elems = structured_quad_mesh(4)
+            for _ in range(3):
+                nodes, elems = refine(nodes, elems, rng.choice(len(elems), max(1, len(elems) // 6), replace=False))
+        first, last = {}, {}
+        for i, cyc in enumerate(elems):
+            for j in range(len(cyc)):
+                key = tuple(sorted((int(cyc[j]), int(cyc[(j + 1) % len(cyc)]))))
+                first.setdefault(key, i)
+                last[key] = i
+        topo = build_topology(nodes, elems)
+        assert topo.edge2elem.tolist() == [[first[e], last[e]] for e in map(tuple, topo.edge.tolist())]
+        assert (topo.edge2elem[:, 0] != topo.edge2elem[:, 1]).any()
+
     def test_edge_table_sorted_rows(self):
         nodes, elems = structured_quad_mesh(4)
         topo = build_topology(nodes, elems)
@@ -391,6 +413,21 @@ def malformed_meshes():
 
 
 class TestValidateMesh:
+    def test_memory_of_a_valid_grid(self):
+        # the whole-table arrays go once the passed cells are gathered, the edge
+        # arrays once the overlap check is done: 10.6 MiB while they stayed alive
+        import tracemalloc
+
+        nodes, elems = structured_quad_mesh(128)
+        tracemalloc.start()
+        try:
+            report = validate_mesh(nodes, elems)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok
+        assert peak < 9.5 * 2**20
+
     def test_clockwise_square_reports_orientation(self):
         report = validate_mesh(SQUARE_NODES, [[0, 3, 2, 1]])
         assert [v.kind for v in report.violations] == ["orientation"]
@@ -1020,6 +1057,17 @@ class TestMeshAreaAndConformity:
             tracemalloc.stop()
         assert hits == []
         assert peak < 8 * 2**20
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("check", [build_topology, mesh_area, check_conformity,
+                                       lambda nodes, elems: refine(nodes, elems, [0])],
+                             ids=["build_topology", "mesh_area", "check_conformity", "refine"])
+    def test_used_non_finite_node_is_rejected(self, check, bad):
+        # node 4, the centre of the 2 x 2 grid, is a vertex of all four cells
+        nodes, elems = structured_quad_mesh(2)
+        nodes[4] = (bad, 0.5)
+        with pytest.raises(DegeneratePolygonError, match="element 0 uses a non-finite node"):
+            check(nodes, elems)
 
     def test_unused_non_finite_node_is_inside_no_side(self):
         # a T-junction: node 6 sits on the right side of cell 0, which does not list it
