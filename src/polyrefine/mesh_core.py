@@ -252,31 +252,21 @@ def _bounding_box(points):
     return lo, hi, grid
 
 
-def _indexed_cycles(elements, n):
-    """``_cycle_arrays`` of an element table whose entries must all be vertex indices:
-    raises ``InvalidIndexError`` for the first element with an entry that is not."""
-    offsets, cycles = _cycle_arrays(elements, n)
-    bad = np.flatnonzero(cycles < 0)
-    if bad.size:
-        raise InvalidIndexError(f"element {_cycle_owners(offsets)[bad[0]]}: an entry is not a vertex index")
-    return offsets, cycles
-
-
 def _checked_tables(nodes, elements):
     """Flat cycle arrays and ``_polygon_tables`` of an element table that must be
-    valid: raises ``DegeneratePolygonError`` or ``InvalidIndexError`` on the first bad
-    element, a cycle of fewer than 3 vertices before an entry that is not an index."""
-    try:
-        offsets, cycles = _indexed_cycles(elements, len(nodes))
-    except InvalidIndexError as exc:
-        error, lengths = exc, np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
-    else:
-        error, lengths = None, np.diff(offsets)
+    valid: the one checked reader of element tables.  Raises on the first bad element
+    of the first of these checks: ``DegeneratePolygonError`` for a cycle of fewer than
+    3 vertices, ``InvalidIndexError`` for an entry that is not a vertex index (see
+    ``_cycle_arrays``), ``DegeneratePolygonError`` for a cell that uses a non-finite
+    node and for a cell of vanishing area."""
+    offsets, cycles = _cycle_arrays(elements, len(nodes))
+    lengths = np.diff(offsets)
     short = np.flatnonzero(lengths < 3)
     if short.size:
         raise DegeneratePolygonError(f"element {int(short[0])} has {int(lengths[short[0]])} vertices")
-    if error is not None:
-        raise error
+    bad = np.flatnonzero(cycles < 0)
+    if bad.size:
+        raise InvalidIndexError(f"element {_cycle_owners(offsets)[bad[0]]}: an entry is not a vertex index")
     if not np.isfinite(nodes).all():  # a cell with a nan or inf vertex has no geometry
         used = np.flatnonzero(~np.isfinite(nodes[cycles]).all(axis=1))
         if used.size:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .mesh_core import MeshError, ValidationReport, _as_nodes, _cycle_lists, _indexed_cycles, validate_mesh
+from .mesh_core import MeshError, ValidationReport, _as_nodes, _checked_tables, _cycle_lists, validate_mesh
 
 FORMAT_NAME = "polymesh"
 FORMAT_VERSION = 1
@@ -109,10 +109,10 @@ def load_mesh(path):
 
 
 def save_mesh(nodes, elements, path) -> None:
-    """Write a mesh with full (round-trip) coordinate precision; raises
-    ``InvalidIndexError``, writing nothing, if an entry is not a vertex index."""
+    """Write a mesh with full (round-trip) coordinate precision; raises what
+    ``build_topology`` raises for a bad cell (``_checked_tables``), writing nothing."""
     nodes = _as_nodes(nodes)
-    offsets, cycles = _indexed_cycles(elements, len(nodes))
+    offsets, cycles = _checked_tables(nodes, elements)[:2]
     out = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"nodes {len(nodes)}"]
     out += [f"{x!r} {y!r}" for x, y in nodes.tolist()]
     out.append(f"elements {len(elements)}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mesh_core import _as_nodes, _bounding_box, _cycle_lists, _indexed_cycles, _length_groups
+from .mesh_core import _as_nodes, _bounding_box, _checked_tables, _cycle_lists, _length_groups
 
 
 def _fmt(v: float) -> str:
@@ -20,14 +20,14 @@ def render_svg(nodes, elements, path, values=None) -> None:
 
     With ``values`` (one scalar per vertex) each polygon is filled by the
     mean of its vertex values through a linear color ramp.  The viewport is
-    the mesh bounding box with a 2% margin; strokes are 0.2% of the box
-    diagonal.  Output bytes depend only on the inputs.  Raises
-    ``InvalidIndexError`` if an element entry is not a vertex index, and
-    ``ValueError`` unless ``values`` holds one finite number per vertex.
+    the bounding box of the finite nodes with a 2% margin; strokes are 0.2% of
+    the box diagonal.  Output bytes depend only on the inputs.  Raises what
+    ``build_topology`` raises for a bad cell (see ``_checked_tables``), writing
+    nothing, and ``ValueError`` unless ``values`` holds one finite number per vertex.
     """
     nodes = _as_nodes(nodes)
-    offsets, cycles = _indexed_cycles(elements, len(nodes))
-    lo, hi, _ = _bounding_box(nodes)
+    offsets, cycles = _checked_tables(nodes, elements)[:2]
+    lo, hi, _ = _bounding_box(nodes[np.isfinite(nodes).all(axis=1)])
     span = np.maximum(hi - lo, 1e-12)
     margin = 0.02 * span
     x0, y0 = lo - margin

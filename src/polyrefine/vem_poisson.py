@@ -193,13 +193,16 @@ def _dissection_order(coords: np.ndarray, A: sp.csr_matrix, free: np.ndarray) ->
 
 def solve_dirichlet(system: LinearSystem, g) -> np.ndarray:
     """Solve with Dirichlet values ``g(x, y)`` on the boundary vertices by the method of the
-    module docstring; raises ``SolverError`` if the reduced matrix is singular or the
-    residual misses ``RESIDUAL_RTOL``."""
+    module docstring; raises ``SolverError`` if a free node belongs to no element, the
+    reduced matrix is singular or the residual misses ``RESIDUAL_RTOL``."""
     A, bmask = system.matrix, system.boundary_mask
     u = np.zeros(len(system.rhs))
     x, y = system.coords[:, 0], system.coords[:, 1]
     u[bmask] = np.asarray(g(x[bmask], y[bmask]), dtype=float)
     free = np.flatnonzero(~bmask)
+    lonely = free[np.diff(A.indptr)[free] == 0]  # an empty row: a node that no cell lists
+    if lonely.size:
+        raise SolverError(f"node {lonely[0]} belongs to no element")
     if len(free):
         free = free[_dissection_order(system.coords, A, free)]
         # u is zero on the free unknowns, so this is rhs - A_fb u_b

@@ -204,6 +204,19 @@ class TestRenderSvg:
             render_svg(SQUARE_NODES, SQUARE_ELEMS, out, values=[0.0, 1.0, bad, 2.0])
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("extra", [(np.nan, 0.5), (np.inf, 0.0)], ids=["nan", "inf"])
+    def test_unused_non_finite_node_leaves_the_viewport(self, tmp_path, extra):
+        nodes, elems = structured_quad_mesh(2)
+        values = nodes[:, 0] - 2.0 * nodes[:, 1]
+        render_svg(nodes, elems, tmp_path / "a.svg")
+        render_svg(nodes, elems, tmp_path / "a_field.svg", values=values)
+        nodes = np.vstack([nodes, [extra]])
+        render_svg(nodes, elems, tmp_path / "b.svg")
+        render_svg(nodes, elems, tmp_path / "b_field.svg", values=np.r_[values, 0.0])
+        assert (tmp_path / "b.svg").read_bytes() == (tmp_path / "a.svg").read_bytes()
+        assert (tmp_path / "b_field.svg").read_bytes() == (tmp_path / "a_field.svg").read_bytes()
+
 
 class TestCli:
     def test_refine_single_square(self, tmp_path, capsys):

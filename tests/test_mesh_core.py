@@ -60,6 +60,18 @@ from sample_meshes import (
     two_squares,
 )
 
+# every entry point that takes an element table and raises for a bad cell; the
+# writers write to the working directory, which the tests point at tmp_path
+ENTRY_POINTS = {
+    "build_topology": build_topology,
+    "mesh_area": mesh_area,
+    "check_conformity": check_conformity,
+    "refine": lambda nodes, elems: refine(nodes, elems, [0]),
+    "adaptive_loop": lambda nodes, elems: adaptive_loop(nodes, elems, *gaussian_peak_problem()[::-1], max_steps=0),
+    "save_mesh": lambda nodes, elems: save_mesh(nodes, elems, "bad.mesh"),
+    "render_svg": lambda nodes, elems: render_svg(nodes, elems, "bad.svg"),
+}
+
 
 def regular_polygon(n, radius=1.0):
     ang = 2.0 * np.pi * np.arange(n) / n
@@ -200,16 +212,18 @@ class TestBuildTopology:
         with pytest.raises(DegeneratePolygonError, match=f"element {at} has {len(cycle)} vertices"):
             derive(nodes, elems)
 
-    @pytest.mark.parametrize("derive", [build_topology, mesh_area])
-    def test_short_cycle_is_reported_before_a_non_index(self, derive):
+    @pytest.mark.parametrize("derive", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
+    def test_short_cycle_is_reported_before_a_non_index(self, derive, tmp_path, monkeypatch):
         # the precedence of validate_mesh, which reports [0, 99] as too-few-vertices
         nodes, elems = structured_quad_mesh(2)
         elems[1] = [1, 2, 99, 4]
         elems.insert(3, [0, 99])
         kinds = [(v.kind, v.where) for v in validate_mesh(nodes, elems).violations]
         assert kinds == [("invalid-index", 1), ("too-few-vertices", 3)]
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(DegeneratePolygonError, match="element 3 has 2 vertices"):
             derive(nodes, elems)
+        assert list(tmp_path.iterdir()) == []
 
 
 def cell_tables(vertices):
@@ -1059,15 +1073,15 @@ class TestMeshAreaAndConformity:
         assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    @pytest.mark.parametrize("check", [build_topology, mesh_area, check_conformity,
-                                       lambda nodes, elems: refine(nodes, elems, [0])],
-                             ids=["build_topology", "mesh_area", "check_conformity", "refine"])
-    def test_used_non_finite_node_is_rejected(self, check, bad):
+    @pytest.mark.parametrize("check", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
+    def test_used_non_finite_node_is_rejected(self, check, bad, tmp_path, monkeypatch):
         # node 4, the centre of the 2 x 2 grid, is a vertex of all four cells
         nodes, elems = structured_quad_mesh(2)
         nodes[4] = (bad, 0.5)
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(DegeneratePolygonError, match="element 0 uses a non-finite node"):
             check(nodes, elems)
+        assert list(tmp_path.iterdir()) == []
 
     def test_unused_non_finite_node_is_inside_no_side(self):
         # a T-junction: node 6 sits on the right side of cell 0, which does not list it
@@ -1228,6 +1242,21 @@ class TestVertexIndexRule:
             assert list(tmp_path.iterdir()) == []
             report = validate_mesh(nodes, elems)
             assert [(v.kind, v.where) for v in report.violations] == [("invalid-index", 0)]
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+@pytest.mark.parametrize("cycle, message", [([1, 2], "element 1 has 2 vertices"),
+                                            ([0, 1, 2, 2], "element 1 has vanishing area")],  # a bottom-row run
+                         ids=["two-vertex", "zero-area"])
+def test_every_entry_point_rejects_a_bad_cell_as_build_topology_does(cycle, message, entry, tmp_path, monkeypatch):
+    # the non-index and non-finite cells have their own every-entry-point tests
+    nodes, elems = structured_quad_mesh(2)
+    elems[1] = cycle
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(MeshError) as exc:
+        ENTRY_POINTS[entry](nodes, elems)
+    assert (exc.type, str(exc.value)) == (DegeneratePolygonError, message)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_structured_quad_mesh_shapes():

@@ -378,6 +378,20 @@ class TestSolve:
         with pytest.raises(SolverError):
             solve_dirichlet(system, zero)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("extra", [(2.0, 2.0), (np.nan, 0.5)], ids=["finite", "nan"])
+    @pytest.mark.parametrize("entry", ["solve_dirichlet", "adaptive_loop"])
+    def test_node_of_no_element_is_named(self, entry, extra):
+        # node 25, appended to the 4 x 4 grid, is on no boundary edge, so it is free with an empty row
+        u_exact, f = gaussian_peak_problem()
+        nodes, elems = structured_quad_mesh(4)
+        nodes = np.vstack([nodes, [extra]])
+        with pytest.raises(SolverError, match="^node 25 belongs to no element$"):
+            if entry == "solve_dirichlet":
+                solve_dirichlet(assemble(nodes, elems, build_topology(nodes, elems), f), u_exact)
+            else:
+                adaptive_loop(nodes, elems, f, u_exact, max_steps=2)
+
     @pytest.mark.parametrize("factor", [1e300, 1e-300])
     def test_extreme_dirichlet_data_scales_the_solution(self, factor):
         # the norms of the unscaled reduced system would overflow (1e300) or underflow to 0 (1e-300)
