@@ -13,6 +13,14 @@ A mesh file looks like::
 
 Indices are 0-based and coordinates are written with shortest round-trip
 precision, so ``load_mesh(save_mesh(...))`` reproduces the mesh exactly.
+
+``save_mesh`` writes from the flat arrays, with no list per row: one
+``"%r %r\\n" * N`` format over the raveled nodes, and one ``%d`` row format
+per cycle length, joined in element order, over the concatenated cycles.
+``read_mesh_file`` parses the node block as one token stream read by
+``float``, and each element row with Python's own ``int``, so an index beyond
+int64 stays a Python int for validation to report; it builds those lists with
+the cyclic garbage collector paused (``mesh_core._CollectorPaused``).
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ import math
 
 import numpy as np
 
-from .mesh_core import MeshError, ValidationReport, _as_nodes, _checked_tables, _cycle_lists, validate_mesh
+from .mesh_core import MeshError, ValidationReport, _as_nodes, _checked_tables, _CollectorPaused, validate_mesh
 
 FORMAT_NAME = "polymesh"
 FORMAT_VERSION = 1
@@ -91,7 +99,8 @@ def read_mesh_file(path):
         raise MeshParseError(f"node block below line {numbers[at - 1]}: {exc}") from exc
     at, rows = block("elements")
     try:
-        elements = [list(map(int, row.split())) for row in rows]
+        with _CollectorPaused():
+            elements = [list(map(int, row.split())) for row in rows]
     except ValueError as exc:
         raise MeshParseError(f"element block below line {numbers[at - 1]}: {exc}") from exc
     if pos != len(lines):
@@ -113,12 +122,13 @@ def save_mesh(nodes, elements, path) -> None:
     ``build_topology`` raises for a bad cell (``_checked_tables``), writing nothing."""
     nodes = _as_nodes(nodes)
     offsets, cycles = _checked_tables(nodes, elements)[:2]
-    out = [f"{FORMAT_NAME} {FORMAT_VERSION}", f"nodes {len(nodes)}"]
-    out += [f"{x!r} {y!r}" for x, y in nodes.tolist()]
-    out.append(f"elements {len(elements)}")
-    out += [" ".join(map(str, c)) for c in _cycle_lists(offsets, cycles)]
+    lengths = np.diff(offsets).tolist()
+    row = {n: " ".join(["%d"] * n) + "\n" for n in set(lengths)}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(out) + "\n")
+        fh.write(f"{FORMAT_NAME} {FORMAT_VERSION}\nnodes {len(nodes)}\n")
+        fh.write("%r %r\n" * len(nodes) % tuple(nodes.ravel().tolist()))
+        fh.write(f"elements {len(lengths)}\n")
+        fh.write("".join(map(row.__getitem__, lengths)) % tuple(cycles.tolist()))
 
 
 def save_field(values, path) -> None:

@@ -13,14 +13,71 @@ from polyrefine import (
     structured_quad_mesh,
 )
 from polyrefine.cli import cli_main
-from polyrefine.meshfile import load_field, save_field
+from polyrefine.meshfile import load_field, read_mesh_file, save_field
 
-from sample_meshes import SQUARE_ELEMS, SQUARE_NODES, cascade_mesh, prismatic_pentagon_patch
+from sample_meshes import SQUARE_ELEMS, SQUARE_NODES, cascade_mesh, centroidal_voronoi_mesh, prismatic_pentagon_patch
 
 
 # two squares that share no node
 APART_NODES = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [3, 0], [3, 1], [2, 1]]
 APART_ELEMS = [[0, 1, 2, 3], [4, 5, 6, 7]]
+
+
+def per_row_save_mesh(nodes, elements, path):
+    """The writer ``save_mesh`` replaced (one f-string or join per row), kept as a byte oracle."""
+    out = ["polymesh 1", f"nodes {len(nodes)}"]
+    out += [f"{x!r} {y!r}" for x, y in np.asarray(nodes, dtype=float).tolist()]
+    out.append(f"elements {len(elements)}")
+    out += [" ".join(map(str, c)) for c in elements]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(out) + "\n")
+
+
+def oracle_meshes():
+    """The meshes on which ``save_mesh`` must write the oracle's bytes."""
+    rng = np.random.default_rng(5)
+    grid = structured_quad_mesh(16)
+    marked = np.sort(rng.choice(256, size=38, replace=False))  # 15 % of the cells, scattered
+    odd = [-0.0, 5e-324, 1e-5, 0.1 + 0.2, 1e16, 1.7976931348623157e308]
+    return {
+        "grid3": structured_quad_mesh(3),
+        "voronoi0": centroidal_voronoi_mesh(0),
+        "voronoi1": centroidal_voronoi_mesh(1),
+        "scattered": refine(*grid, marked),
+        "odd-coordinates": (np.vstack([SQUARE_NODES, np.reshape(odd, (3, 2)), -np.reshape(odd, (3, 2))]),
+                            SQUARE_ELEMS),
+        "no-elements": (SQUARE_NODES, []),
+    }
+
+
+# What the reader makes of one token, pinned so that a faster parse keeps it: in
+# the 4th node's x, the coordinate read (``repr``) or the parse error; in the 4th
+# entry of element 0, the index read or the parse error; then the violations of
+# ``load_mesh``'s report (none: it loads).  The node header is on line 2, the
+# element header (after a blank line) on line 8.
+CCW = "orientation at 0: vertices are not counterclockwise"
+NOT_AN_INT = "element block below line 8: invalid literal for int() with base 10: "
+NODE_TOKENS = [
+    ("+3", "3.0", [CCW]),
+    ("1_0", "10.0", [CCW]),
+    ("-0", "-0.0", []),
+    ("1.5", "1.5", ["self-intersection at 0: polygon is not simple"]),
+    ("0x1", "node block below line 2: could not convert string to float: '0x1'", None),
+    ("1e3", "1000.0", [CCW]),
+    ("nan", "nan", ["nonfinite-node at 3: coordinate is nan or inf"]),
+    ("99999999999999999999", "1e+20", [*(f"duplicate-nodes at {pair}: nodes coincide"
+                                         for pair in ["(0, 1)", "(0, 2)", "(1, 2)"]),
+                                       "degenerate at 0: polygon area is numerically zero"]),
+]
+ELEMENT_TOKENS = [
+    ("+3", 3, []),
+    ("1_0", 10, ["invalid-index at 0: vertex index out of range"]),
+    ("-0", 0, ["repeated-vertex at 0: cycle revisits a vertex"]),
+    *[(t, NOT_AN_INT + repr(t), None) for t in ["1.5", "0x1", "1e3", "nan"]],
+    # beyond int64: read as a Python int, then rejected by validation, not by the parser
+    ("99999999999999999999", 99999999999999999999, ["invalid-index at 0: vertex index out of range"]),
+    ("99999999999999999999 x", NOT_AN_INT + "'x'", None),
+]
 
 
 def write_square(path):
@@ -125,6 +182,44 @@ class TestMeshFile:
         save_mesh(SQUARE_NODES, [], p)
         with pytest.raises(MeshValidationError, match="element table is empty"):
             load_mesh(p)
+
+    @pytest.mark.parametrize("name", list(oracle_meshes()))
+    def test_save_mesh_writes_the_per_row_bytes(self, tmp_path, name):
+        nodes, elems = oracle_meshes()[name]
+        if name.startswith("voronoi"):
+            assert set(map(len, elems)) == {4, 5, 6, 7}
+        save_mesh(nodes, elems, tmp_path / "flat.mesh")
+        per_row_save_mesh(nodes, elems, tmp_path / "rows.mesh")
+        assert (tmp_path / "flat.mesh").read_bytes() == (tmp_path / "rows.mesh").read_bytes()
+
+    @pytest.mark.parametrize("block, token, read, report", [
+        *[pytest.param("nodes", *case, id=f"nodes-{case[0]}") for case in NODE_TOKENS],
+        *[pytest.param("elements", *case, id=f"elements-{case[0]}") for case in ELEMENT_TOKENS],
+    ])
+    def test_token_semantics(self, tmp_path, block, token, read, report):
+        p = tmp_path / "token.mesh"
+        if block == "nodes":
+            p.write_text(f"polymesh 1\nnodes 4\n0 0\n1 0\n1 1\n{token} 1\nelements 1\n0 1 2 3\n")
+        else:
+            p.write_text(f"polymesh 1\nnodes 4\n0 0\n1 0\n1 1\n0 1\n\nelements 1\n0 1 2 {token}\n")
+        if report is None:
+            for reader in (read_mesh_file, load_mesh):
+                with pytest.raises(MeshParseError) as err:
+                    reader(p)
+                assert str(err.value) == read
+            return
+        nodes, elems = read_mesh_file(p)
+        if block == "nodes":
+            assert repr(float(nodes[3, 0])) == read and elems == SQUARE_ELEMS
+        else:
+            assert np.array_equal(nodes, SQUARE_NODES)
+            assert elems == [[0, 1, 2, read]] and type(elems[0][3]) is int
+        if not report:
+            load_mesh(p)
+            return
+        with pytest.raises(MeshValidationError) as err:
+            load_mesh(p)
+        assert str(err.value) == "\n".join([f"{len(report)} violations", *report])
 
     def test_field_roundtrip(self, tmp_path):
         p = tmp_path / "f.txt"

@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import numpy as np
@@ -27,11 +28,13 @@ from polyrefine import (
     structured_quad_mesh,
     validate_mesh,
 )
+from polyrefine import refinement
 from polyrefine.mesh_core import (
     ValidationReport,
     Violation,
     _cells,
     _cycle_arrays,
+    _cycle_lists,
     _degenerate,
     _duplicate_node_pairs,
     _nodes_inside_sides,
@@ -39,6 +42,7 @@ from polyrefine.mesh_core import (
     _simple_flags,
     _star_flags,
 )
+from polyrefine.meshfile import read_mesh_file
 
 from sample_meshes import (
     SQUARE_ELEMS,
@@ -1270,6 +1274,83 @@ def test_structured_quad_mesh_shapes():
 def test_structured_quad_mesh_rejects_sizes_below_one(size):
     with pytest.raises(ValueError, match="grid sizes must be integers >= 1"):
         structured_quad_mesh(*(size if isinstance(size, tuple) else (size,)))
+
+
+@pytest.fixture
+def collector():
+    """Puts the cyclic garbage collector's switch and thresholds back as they were
+    after a test that changes them."""
+    was, thresholds = gc.isenabled(), gc.get_threshold()
+    yield
+    (gc.enable if was else gc.disable)()
+    gc.set_threshold(*thresholds)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_the_collector_is_left_as_found(enabled, collector, tmp_path):
+    good, bad = tmp_path / "good.mesh", tmp_path / "clockwise.mesh"
+    save_mesh(SQUARE_NODES, SQUARE_ELEMS, good)
+    save_mesh(SQUARE_NODES, [[0, 3, 2, 1]], bad)  # parses, then fails validation
+    u, f = gaussian_peak_problem()
+    calls = {
+        "structured_quad_mesh": lambda: structured_quad_mesh(4),
+        "refine": lambda: refine(*structured_quad_mesh(4), [0, 5]),
+        "read_mesh_file": lambda: read_mesh_file(good),
+        "load_mesh": lambda: load_mesh(good),
+        "adaptive_loop": lambda: adaptive_loop(*structured_quad_mesh(4), f, u, max_steps=2),
+    }
+    (gc.enable if enabled else gc.disable)()
+    for name, call in calls.items():
+        call()
+        assert gc.isenabled() is enabled, name
+    with pytest.raises(MeshValidationError):
+        load_mesh(bad)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("build", ["structured_quad_mesh", "refine"])
+def test_no_collection_starts_while_element_lists_are_built(build, collector, monkeypatch):
+    """Lists of ints hold no reference cycles, so a collector pass while they are
+    built could free nothing; on large grids such passes took most of the build's time.
+
+    Passes are recorded only while the lists are built: over all of
+    ``structured_quad_mesh``, which builds nothing else first, and over
+    ``refine``'s ``_cycle_lists`` call, which starts from an empty young
+    generation.  With a young threshold of 100, building the 4,096 or more
+    lists unpaused starts dozens of passes, and the few containers made around
+    the pause start none."""
+    started, inside = [], [False]
+
+    def recorder(phase, info):
+        if phase == "start" and inside[0]:
+            started.append(info["generation"])
+
+    if build == "structured_quad_mesh":
+        call, inside[0] = lambda: structured_quad_mesh(256), True
+    else:
+        def recorded_cycle_lists(offsets, cycles):
+            gc.collect()
+            inside[0] = True
+            try:
+                return _cycle_lists(offsets, cycles)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(refinement, "_cycle_lists", recorded_cycle_lists)
+        nodes, elems = structured_quad_mesh(64)
+        marked = np.sort(np.random.default_rng(0).choice(4096, size=614, replace=False))  # 15 %, scattered
+        call = lambda: refine(nodes, elems, marked)
+    gc.enable()
+    gc.collect()
+    gc.set_threshold(100)
+    gc.callbacks.append(recorder)
+    try:
+        out = call()
+        inside[0] = False  # allocates nothing, so a pass put off by the build starts after this
+    finally:
+        gc.callbacks.remove(recorder)
+    assert len(out[1]) > 4096
+    assert started == []
 
 
 def test_a_topology_is_the_one_source_of_the_cells():
