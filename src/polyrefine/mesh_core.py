@@ -193,14 +193,25 @@ class _CollectorPaused:
             gc.enable()
 
 
+def _int_lists(indices) -> list:
+    """``indices.tolist()`` with one ``int`` object per distinct value.  ``tolist()``
+    makes one per entry, so a vertex index above 256 exists once per cell using
+    it (65,027 objects for the 16,641 nodes of 128 x 128; the grid traces 3.73
+    against 2.25 MiB).  Mapping through the span from ``lo`` (0, or -1 for
+    ``_cycle_arrays``' marker of a non-index) keeps -1 as -1, where a plain gather
+    would wrap it to the last vertex."""
+    lo = int(indices.min(initial=0))
+    return np.arange(lo, int(indices.max(initial=0)) + 1).astype(object)[indices - lo].tolist()
+
+
 def _cycle_lists(offsets, cycles) -> list:
-    """Flat cycle arrays back to a list of vertex lists (Python ints), built with
-    the collector paused: they hold no cycles, so the pause skips no pass that
-    could free anything (and, process-wide, may turn back on a collector another
-    thread turned off meanwhile)."""
-    flat = cycles.tolist()
+    """Flat cycle arrays back to a list of vertex lists, one ``int`` object per
+    vertex index (``_int_lists``; -1 stays -1), built with the collector paused:
+    they hold no cycles, so the pause skips no pass that could free anything (and,
+    process-wide, may turn back on a collector another thread turned off meanwhile)."""
     bounds = offsets.tolist()
     with _CollectorPaused():
+        flat = _int_lists(cycles)
         return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
@@ -639,7 +650,8 @@ def _nodes_inside_sides(nodes, a, b):
 
 def structured_quad_mesh(nx: int, ny: int | None = None, origin=(0.0, 0.0)):
     """Axis-aligned ``nx`` x ``ny`` grid of quadrilaterals (counterclockwise) on the unit square at ``origin``;
-    raises ``ValueError`` unless both sizes are integers >= 1."""
+    raises ``ValueError`` unless both sizes are integers >= 1.  Each vertex index
+    is one ``int`` object shared by the up to four cells that use it (``_int_lists``)."""
     ny = nx if ny is None else ny
     if not all(isinstance(n, (int, np.integer)) and n >= 1 for n in (nx, ny)):
         raise ValueError(f"grid sizes must be integers >= 1, got nx={nx!r}, ny={ny!r}")
@@ -651,4 +663,4 @@ def structured_quad_mesh(nx: int, ny: int | None = None, origin=(0.0, 0.0)):
     v00 = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
     elements = np.column_stack([v00, v00 + 1, v00 + nx + 2, v00 + nx + 1])
     with _CollectorPaused():
-        return nodes, elements.tolist()
+        return nodes, _int_lists(elements)

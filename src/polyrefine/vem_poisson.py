@@ -116,7 +116,11 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
 
     ``f`` is called with coordinate arrays ``f(x, y)``.  Boundary vertices
     are the endpoints of edges incident to a single element.  Areas,
-    centroids and diameters are read from ``topology``.
+    centroids and diameters are read from ``topology``.  The matrix's ``data``
+    and ``indices`` are copied down to ``nnz`` entries: ``tocsr`` sums duplicate
+    triplets in place, and scipy's ``prune`` keeps a view of the triplet-length
+    buffers when more than half survive (4,194,304 entries for 2,362,369
+    nonzeros on 512 x 512, about 21 MB held as long as the system).
     """
     nodes = _as_nodes(nodes)
     N = len(nodes)
@@ -144,6 +148,8 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
             out[s:s + _CELL_BLOCK] = _batched_stiffness(x[c], y[c], area[idx[s:s + _CELL_BLOCK]]).transpose(2, 0, 1)
         start = stop
     A = sp.coo_matrix((vals, (rows, cols)), shape=(N, N)).tocsr()
+    del rows, cols, vals, out
+    A.data, A.indices = A.data.copy(), A.indices.copy()
 
     cen = topology.centroid
     load = area / lengths * np.asarray(f(cen[:, 0], cen[:, 1]), dtype=float)

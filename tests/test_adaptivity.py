@@ -234,6 +234,18 @@ class TestAdaptiveLoop:
         _, n, e, u, _, _ = calls[-1]
         assert n is run.nodes and e is run.elements and u is run.solution
 
+    def test_every_table_holds_one_int_object_per_vertex(self):
+        # 441 nodes, so most indices are above the 256 that Python caches
+        nodes, elems = structured_quad_mesh(20)
+        uex, f = gaussian_peak_problem()
+        seen = []
+        run = adaptive_loop(nodes, elems, f, uex, theta=0.4, max_steps=3,
+                            on_step=lambda step, n, e, *rest: seen.append((len(n), e)))
+        assert len(seen) == 4
+        for n, e in seen + [(len(run.nodes), run.elements)]:
+            assert len({id(v) for cyc in e for v in cyc}) == n
+            assert all(type(v) is int for cyc in e for v in cyc)
+
     def test_dof_cap_stops_early(self):
         nodes, elems = structured_quad_mesh(8)
         uex, f = gaussian_peak_problem()

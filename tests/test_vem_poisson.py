@@ -525,11 +525,46 @@ def test_single_precision_factor_refined_to_round_off(monkeypatch):
     assert np.linalg.norm(A @ u[free] - rhs) <= 1e-13 * np.linalg.norm(rhs)
 
 
+def owns_its_buffer(a):
+    return a.base is None or a.base.nbytes == a.nbytes
+
+
+@pytest.mark.parametrize("mesh", ["grid-128", "voronoi-refined"])
+def test_the_matrix_owns_exactly_its_nonzeros(mesh):
+    """``tocsr`` sums duplicate triplets in place, and scipy's ``prune`` keeps a
+    view of the triplet-length buffers when more than half of them survive:
+    262,144 entries for the 148,225 nonzeros of the 128^2 grid, where
+    ``assemble`` retains 3.22 MiB without its copy down to ``nnz`` and 1.92 MiB
+    with it."""
+    import tracemalloc
+
+    if mesh == "grid-128":
+        nodes, elems = structured_quad_mesh(128)
+    else:
+        nodes, elems = centroidal_voronoi_mesh(0)
+        nodes, elems = refine(nodes, elems, range(len(elems)))[:2]
+    topo = build_topology(nodes, elems)
+    tracemalloc.start()
+    try:
+        system = assemble(nodes, elems, topo, one)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    A = system.matrix
+    assert A.data.size == A.indices.size == A.nnz == A.indptr[-1]
+    assert owns_its_buffer(A.data) and owns_its_buffer(A.indices)
+    if mesh == "grid-128":
+        assert A.nnz == 148225
+        assert retained <= 2.2 * 2**20
+
+
 def test_assemble_and_solve_memory_peaks():
     """tracemalloc peaks on a 128^2 grid (16,641 nodes, 146,689 nonzeros).
 
     ``assemble`` writes int32 row and column triplets and one value array in
-    place: 8.6 MB with the CSR conversion, 11.8 MB with int64 rows and
+    place, and drops them before copying the CSR buffers down to ``nnz``
+    entries: 7.8 MiB with the CSR conversion, 8.6 MiB without the copy and
+    9.5 MiB copying with the triplets still held, 11.8 MB with int64 rows and
     columns, 14.6 MB with concatenated int64 copies.  ``solve_dirichlet``
     keeps no float64 reduced matrix: 4.0 MB, 5.8 MB with its float64 row and
     column slices kept.  SuperLU's own factor memory is not traced.
