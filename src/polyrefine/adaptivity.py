@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh_core import (MeshTopology, _as_nodes, _cycle_arrays, _cycle_lists, _cycle_owners, _cycle_shifts,
-                        build_topology)
+from .mesh_core import MeshTopology, _as_nodes, _cycle_lists, _cycle_owners, _cycle_shifts, build_topology
 from .refinement import refine
 from .vem_poisson import assemble, solve_dirichlet
 
@@ -84,8 +83,8 @@ def dorfler_mark(eta, theta: float) -> np.ndarray:
     indicator are never marked.  Returns sorted element indices.
     """
     eta = np.asarray(eta, dtype=float)
-    if eta.size == 0:
-        raise ValueError("indicator vector is empty")
+    if eta.ndim != 1 or eta.size == 0:
+        raise ValueError(f"indicators must form a non-empty 1-D vector, got shape {eta.shape}")
     if not (0.0 < theta <= 1.0):
         raise ValueError("marking parameter must lie in (0, 1]")
     if (eta < 0).any() or not np.isfinite(eta).all():
@@ -118,6 +117,9 @@ def convergence_rate(records) -> float:
     tail = records[len(records) // 2:]
     if len(tail) < 2:
         raise ValueError("a convergence rate needs at least 3 records")
+    for r in tail:
+        if r.num_nodes <= 0 or r.total_eta <= 0:
+            raise ValueError(f"step {r.step} has {r.num_nodes} nodes and total_eta {r.total_eta}, not both positive")
     log_n = np.log([r.num_nodes for r in tail])
     log_eta = np.log([r.total_eta for r in tail])
     return float(np.polyfit(log_n, log_eta, 1)[0])
@@ -144,11 +146,11 @@ def adaptive_loop(nodes, elements, f, g, theta: float = 0.4, max_steps: int = 30
     cannot improve the solution.
     """
     nodes = _as_nodes(nodes).copy()
-    elements = _cycle_lists(*_cycle_arrays(elements, len(nodes)))
+    topology = build_topology(nodes, elements)
+    elements = _cycle_lists(topology.offsets, topology.cycles)
     records = []
     step = 0
     while True:
-        topology = build_topology(nodes, elements)
         system = assemble(nodes, elements, topology, f)
         u = solve_dirichlet(system, g)
         eta = estimate(nodes, elements, topology, u, f)
@@ -165,5 +167,6 @@ def adaptive_loop(nodes, elements, f, g, theta: float = 0.4, max_steps: int = 30
         if step >= max_steps or len(marked) == 0 or (dof_cap is not None and len(nodes) >= dof_cap):
             break
         nodes, elements = refine(nodes, elements, marked, topology=topology)
+        topology = build_topology(nodes, elements)
         step += 1
     return AdaptiveRun(records, nodes, elements, u)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyrefine import (
+    MeshError,
     StepRecord,
     adaptive_loop,
     assemble,
@@ -17,6 +18,7 @@ from polyrefine import (
     total_indicator,
     validate_mesh,
 )
+from polyrefine import adaptivity
 
 from sample_meshes import SQUARE_ELEMS, SQUARE_NODES
 
@@ -163,6 +165,10 @@ class TestDorflerMark:
             dorfler_mark([1.0], 1.5)
         with pytest.raises(ValueError):
             dorfler_mark([-1.0], 0.4)
+        # a matrix or a scalar is not a vector of element indicators
+        for eta, shape in (([[1.0, 4.0], [3.0, 2.0]], r"\(2, 2\)"), (2.0, r"\(\)")):
+            with pytest.raises(ValueError, match=f"^indicators must form a non-empty 1-D vector, got shape {shape}$"):
+                dorfler_mark(eta, 0.4)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -246,6 +252,27 @@ class TestAdaptiveLoop:
             assert len({id(v) for cyc in e for v in cyc}) == n
             assert all(type(v) is int for cyc in e for v in cyc)
 
+    @pytest.mark.parametrize("cell", [[0, 1, 4.7, 3], [0, 1]], ids=["non-index", "two-vertex"])
+    def test_the_start_table_is_checked_before_lists_are_built(self, cell, monkeypatch):
+        """The loop lists its start table from the topology it builds, so a bad table
+        raises what ``build_topology`` raises before any list is built from it."""
+        nodes, elems = structured_quad_mesh(2)
+        elems[0] = cell
+        with pytest.raises(MeshError) as expected:
+            build_topology(nodes, elems)
+        built, cycle_lists = [], adaptivity._cycle_lists
+
+        def recorded_cycle_lists(offsets, cycles):
+            built.append(cycles.tolist())
+            return cycle_lists(offsets, cycles)
+
+        monkeypatch.setattr(adaptivity, "_cycle_lists", recorded_cycle_lists)
+        uex, f = gaussian_peak_problem()
+        with pytest.raises(MeshError) as raised:
+            adaptive_loop(nodes, elems, f, uex, max_steps=0)
+        assert (raised.type, str(raised.value)) == (expected.type, str(expected.value))
+        assert built == []
+
     def test_dof_cap_stops_early(self):
         nodes, elems = structured_quad_mesh(8)
         uex, f = gaussian_peak_problem()
@@ -278,3 +305,10 @@ class TestConvergenceRate:
         with pytest.raises(ValueError, match="at least 3 records"):
             convergence_rate(records)
         assert convergence_rate(records + [StepRecord(2, 40, 1, 0.5, 0)]) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("num_nodes, total_eta", [(40, 0.0), (40, -0.5), (0, 0.5)])
+    def test_a_non_positive_record_is_named(self, num_nodes, total_eta):
+        records = [StepRecord(0, 10, 1, 1.0, 0), StepRecord(1, 20, 1, 0.7, 0),
+                   StepRecord(2, num_nodes, 1, total_eta, 0)]
+        with pytest.raises(ValueError, match=f"^step 2 has {num_nodes} nodes and total_eta {total_eta}, not both positive$"):
+            convergence_rate(records)

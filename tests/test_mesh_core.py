@@ -1391,13 +1391,29 @@ def test_each_vertex_index_is_one_int_object():
         assert all(type(v) is int for cycle in table for v in cycle)
 
 
-def test_cycle_lists_keep_the_non_index_marker():
-    """-1 marks an entry that is not a vertex index; it stays -1 and does not
-    wrap to the last vertex."""
-    offsets, cycles = _cycle_arrays([[0, 1, 4.7, 3], [1, 2, 5, 4]], 6)
-    assert _cycle_lists(offsets, cycles) == [[0, 1, -1, 3], [1, 2, 5, 4]]
-    offsets, cycles = _cycle_arrays([[4, 5, 3]], 6)
-    assert _cycle_lists(offsets, cycles) == [[4, 5, 3]]
+def builder_cases():
+    """Tables for both paths of ``_cycle_lists``: one cycle length (every cell of
+    20 x 20 refined: 1,600 quadrilaterals on 1,681 nodes, past Python's small-int
+    cache), mixed lengths, a single cell and no cell."""
+    grid = structured_quad_mesh(20)
+    return {
+        "one-length": refine(*grid, range(400))[:2],
+        "mixed": refine(*grid, range(0, 400, 7))[:2],
+        "single-cell": (SQUARE_NODES, SQUARE_ELEMS),
+        "empty": (SQUARE_NODES, []),
+    }
+
+
+@pytest.mark.parametrize("case", ["one-length", "mixed", "single-cell", "empty"])
+def test_cycle_lists_list_each_table_as_tolist_does(case):
+    nodes, elements = builder_cases()[case]
+    offsets, cycles = _cycle_arrays(elements, len(nodes))
+    lengths = set(np.diff(offsets).tolist())
+    assert len(lengths) == {"one-length": 1, "mixed": 3, "single-cell": 1, "empty": 0}[case]
+    built = _cycle_lists(offsets, cycles)
+    assert built == listed_apart(elements, len(nodes))
+    assert distinct_entry_ids(built) == len(set(cycles.tolist()))
+    assert all(type(v) is int for cycle in built for v in cycle)
 
 
 def test_a_topology_is_the_one_source_of_the_cells():
