@@ -113,13 +113,19 @@ class StepRecord:
 def convergence_rate(records) -> float:
     """Least-squares slope of ``log(total_eta)`` against ``log(num_nodes)``
     over the second half of ``records`` (optimal for the lowest-order method
-    in 2-D is -1/2)."""
+    in 2-D is -1/2).  ``ValueError`` names a record of that half whose node count
+    or indicator is not positive, or whose indicator is not finite, and the steps of
+    a half whose records share one node count."""
     tail = records[len(records) // 2:]
     if len(tail) < 2:
         raise ValueError("a convergence rate needs at least 3 records")
     for r in tail:
         if r.num_nodes <= 0 or r.total_eta <= 0:
             raise ValueError(f"step {r.step} has {r.num_nodes} nodes and total_eta {r.total_eta}, not both positive")
+        if not np.isfinite(r.total_eta):
+            raise ValueError(f"step {r.step} has total_eta {r.total_eta}, not finite")
+    if len({r.num_nodes for r in tail}) == 1:
+        raise ValueError(f"steps {tail[0].step} to {tail[-1].step} all have {tail[0].num_nodes} nodes, so no slope exists")
     log_n = np.log([r.num_nodes for r in tail])
     log_eta = np.log([r.total_eta for r in tail])
     return float(np.polyfit(log_n, log_eta, 1)[0])

@@ -15,12 +15,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .adaptivity import adaptive_loop
 from .mesh_core import (
     MeshError,
-    _cycle_shifts,
+    _side_ratios,
     build_topology,
     check_conformity,
     validate_mesh,
@@ -116,12 +114,7 @@ def _cmd_quality(args) -> int:
     for msg in issues:
         print(f"conformity: {msg}")
     hanging = int(topology.hanging.sum())
-    x, y = nodes.T
-    x0, y0 = x[topology.cycles], y[topology.cycles]
-    _, nxt = _cycle_shifts(topology.offsets)
-    dx, dy = x0[nxt] - x0, y0[nxt] - y0
-    sides = np.sqrt(dx * dx + dy * dy)
-    ratios = sides / np.repeat(topology.diameter, np.diff(topology.offsets))
+    ratios = _side_ratios(nodes, topology)
     print(f"nodes {len(nodes)}, elements {len(elements)}, edges {topology.num_edges}")
     print(f"hanging nodes: {hanging}")
     print(f"edge/diameter ratio: min {ratios.min():.6g} max {ratios.max():.6g}")

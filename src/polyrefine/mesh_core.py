@@ -169,6 +169,15 @@ def _cycle_owners(offsets):
     return np.repeat(np.arange(len(offsets) - 1), np.diff(offsets))
 
 
+def _side_ratios(nodes, topology) -> np.ndarray:
+    """Length of the side from each flat cycle position to the next, over its cell's diameter."""
+    x, y = nodes.T
+    x0, y0 = x[topology.cycles], y[topology.cycles]
+    _, nxt = _cycle_shifts(topology.offsets)
+    dx, dy = x0[nxt] - x0, y0[nxt] - y0
+    return np.sqrt(dx * dx + dy * dy) / np.repeat(topology.diameter, np.diff(topology.offsets))
+
+
 class _CollectorPaused:
     """``with _CollectorPaused():`` runs its body with Python's cyclic garbage
     collector off, and on leaving turns it back on only if it was on before.

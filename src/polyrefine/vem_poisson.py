@@ -20,9 +20,19 @@ would, in the order below (``permc_spec="NATURAL"``).  From ``w = 0``,
 each correction adds the float32 solve of the float64 residual ``r = b -
 (A w)[free]``, read through the full matrix, so the factor's is the one
 reduced matrix.  The corrections stop at the first that does not halve
-``|r|`` and keep the iterate with the smallest (four reached round-off on
-every mesh measured, up to 263,169 nodes); unless the system is finite and
+``|r|`` and keep the iterate with the smallest (at most four reached
+round-off on uniform grids up to 263,169 nodes, five on the peak run's
+meshes of 120,086 and 175,042 nodes); unless the system is finite and
 ``|r| <= RESIDUAL_RTOL |b|``, ``SolverError`` is raised.
+
+The solve's memory is the factor and its input.  SuperLU keeps L + U as
+supernodes of float32 values with their row indices: on the 512 x 512 grid
+(261,121 unknowns) 24.6 M nonzeros in 146.5 MB, about 6 bytes each, beside
+the 18.9 MB float32 input it is handed.  While it factors it also holds a
+workspace for its column panels (Demmel, Eisenstat, Gilbert, Li and Liu,
+SIMAX 1999) that grows as rows x panel width.  At scipy's default width of
+20 columns the solve's RSS rose by 231.9 MB there; at ``_PANEL_SIZE``, 4
+columns, by 166.6 MB, the factor and its input.
 
 The free unknowns are ordered by a geometric nested dissection
 (``_dissection_order``): a quadtree over their coordinates, each cut
@@ -34,8 +44,8 @@ coordinates and the matrix graph only, with ties broken row by row, so the
 factor, and the time it takes, do not depend on how the mesh numbers its
 nodes.  Norms (and the energy in ``adaptivity``) are einsum sums, not BLAS
 dots: a threaded OpenBLAS ``ddot`` leaves its worker threads spinning for
-about 0.13 CPU-s after it returns.  Precision and ordering have no option
-and no fallback.
+about 0.13 CPU-s after it returns.  Precision, ordering and panel width
+have no option and no fallback.
 """
 
 from __future__ import annotations
@@ -109,6 +119,27 @@ def _batched_stiffness(x: np.ndarray, y: np.ndarray, area: np.ndarray) -> np.nda
 # cells per kernel call: keeps the (n, n, cells) temporaries of quadrilaterals
 # near 0.5 MB, in cache (a whole 512^2 grid at once takes 1.8x as long)
 _CELL_BLOCK = 4096
+
+# SuperLU's panel width in columns; scipy's default is 20.  Swept on a 2-core
+# Xeon, three fresh processes per width and mesh: the median RSS rise of the
+# solve and the median of the factor's best-of-5 times, on grids and on the
+# peak run's meshes of 41,744 and 175,042 nodes
+#   width                  1      2      3      4      5      6      8     10     20
+#   128^2    rise MB     9.2    9.3    9.4    9.3    9.7    9.2    9.2    9.7   11.6
+#   256^2    rise MB    39.5   39.5   39.5   39.4   39.4   41.3   42.3   43.3   53.0
+#   512^2    rise MB   166.6  166.5  166.5  166.6  166.6  182.9  187.0  191.0  231.9
+#   41,744   rise MB    30.0   30.0   30.0   30.6   31.0   31.3   32.0   32.8   38.7
+#   175,042  rise MB   143.5  143.5  144.8  146.2  147.5  148.8  151.4  161.4  181.1
+#   128^2    factor s  0.021  0.021  0.021  0.022  0.023  0.023  0.024  0.025  0.026
+#   256^2    factor s  0.111  0.112  0.111  0.118  0.116  0.122  0.122  0.126  0.135
+#   512^2    factor s  0.724  0.666  0.653  0.667  0.650  0.661  0.674  0.673  0.724
+#   41,744   factor s  0.099  0.102  0.104  0.107  0.110  0.110  0.108  0.113  0.110
+#   175,042  factor s  0.791  0.679  0.637  0.616  0.625  0.621  0.622  0.599  0.629
+# Within 3 % of width 10, about the spread between processes, counts as no
+# slower.  Of those widths, 4 has the smallest rise on every mesh (2.8 % slower
+# than 10 at 175,042 nodes); 3 is 6 % slower there.  relax from 1 to 20 moved
+# no RSS on 512^2.
+_PANEL_SIZE = 4
 
 
 def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
@@ -218,7 +249,7 @@ def solve_dirichlet(system: LinearSystem, g) -> np.ndarray:
         b = np.ldexp(rhs, -e)
         try:
             lu = splu(A.astype(np.float32)[free][:, free].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
+                      panel_size=_PANEL_SIZE, options={"SymmetricMode": True})
         except RuntimeError as exc:  # an exactly singular factor
             raise SolverError(str(exc)) from exc
         # float64 corrections until one fails to halve the residual; the smallest residual is kept.

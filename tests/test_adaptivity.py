@@ -312,3 +312,16 @@ class TestConvergenceRate:
                    StepRecord(2, num_nodes, 1, total_eta, 0)]
         with pytest.raises(ValueError, match=f"^step 2 has {num_nodes} nodes and total_eta {total_eta}, not both positive$"):
             convergence_rate(records)
+
+    @pytest.mark.parametrize("total_eta", [float("nan"), float("inf")])
+    def test_a_non_finite_indicator_is_named(self, total_eta):
+        records = [StepRecord(0, 10, 1, 1.0, 0), StepRecord(1, 20, 1, total_eta, 0),
+                   StepRecord(2, 40, 1, 0.5, 0)]
+        with pytest.raises(ValueError, match=f"^step 1 has total_eta {total_eta}, not finite$"):
+            convergence_rate(records)
+
+    def test_one_node_count_has_no_slope(self):
+        records = [StepRecord(0, 10, 1, 1.0, 0), StepRecord(1, 20, 1, 0.7, 0),
+                   StepRecord(2, 20, 1, 0.5, 0)]
+        with pytest.raises(ValueError, match="^steps 1 to 2 all have 20 nodes, so no slope exists$"):
+            convergence_rate(records)
