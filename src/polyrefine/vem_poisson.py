@@ -105,13 +105,7 @@ def _batched_stiffness(x: np.ndarray, y: np.ndarray, area: np.ndarray) -> np.nda
     mxy = 0.5 * np.einsum("ik,ik->k", dx, dy)
     zx = 0.5 * (area + np.einsum("ik,ik->k", dx, dx)) * gx + mxy * gy - dx
     zy = mxy * gx + 0.5 * (area + np.einsum("ik,ik->k", dy, dy)) * gy - dy
-    K = gx[:, None] * zx
-    tmp = zx[:, None] * gx
-    K += tmp
-    Ky = gy[:, None] * zy
-    np.multiply(zy[:, None], gy, out=tmp)
-    Ky += tmp
-    K += Ky
+    K = (gx[:, None] * zx + zx[:, None] * gx) + (gy[:, None] * zy + zy[:, None] * gy)
     K += (np.eye(n) - 1.0 / n)[:, :, None]
     return K
 

@@ -20,7 +20,7 @@ from polyrefine import (
 )
 from polyrefine import adaptivity
 
-from sample_meshes import SQUARE_ELEMS, SQUARE_NODES
+from sample_meshes import SQUARE_ELEMS, SQUARE_NODES, centroidal_voronoi_mesh
 
 
 def zero(x, y):
@@ -118,6 +118,27 @@ class TestEstimate:
 
         nodes, elems = refine(*structured_quad_mesh(2), [0])
         topo = build_topology(nodes, elems)
+        uex, f = gaussian_peak_problem()
+        u = solve_dirichlet(assemble(nodes, elems, topo, f), uex)
+        eta = estimate(nodes, elems, topo, u, f)
+        oracle = indicator_oracle(nodes, elems, u, lambda x, y: float(f(x, y)))
+        assert eta == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("mesh", ["voronoi0", "grid4_random4"])
+    def test_polygonal_meshes_against_quadrature_oracle(self, mesh):
+        # cells of 4 to 7 vertices: Voronoi cells, or hanging nodes of several levels
+        from polyrefine import refine
+
+        if mesh == "voronoi0":
+            nodes, elems = centroidal_voronoi_mesh(0)
+        else:
+            rng = np.random.default_rng(3)
+            nodes, elems = structured_quad_mesh(4)
+            for _ in range(4):
+                nodes, elems = refine(nodes, elems, np.sort(rng.choice(len(elems), len(elems) // 4, replace=False)))
+        topo = build_topology(nodes, elems)
+        assert sorted({len(c) for c in elems}) == [4, 5, 6, 7]
+        assert topo.hanging.any() == (mesh == "grid4_random4")
         uex, f = gaussian_peak_problem()
         u = solve_dirichlet(assemble(nodes, elems, topo, f), uex)
         eta = estimate(nodes, elems, topo, u, f)

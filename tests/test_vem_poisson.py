@@ -280,6 +280,13 @@ class TestAssemble:
         assert np.abs(dense - dense.T).max() < 1e-13 * np.abs(dense).max()
         assert np.abs(dense.sum(axis=1)).max() < 1e-13
 
+    @pytest.mark.parametrize("mesh", ["voronoi0", "mixed_lengths"])
+    def test_matrix_exactly_symmetric(self, mesh):
+        # the kernel sums the x pair and the y pair of G Z^T + Z G^T first, so no entry differs from its mirror
+        nodes, elems = centroidal_voronoi_mesh(0) if mesh == "voronoi0" else mixed_length_table()
+        A = assemble(nodes, elems, build_topology(nodes, elems), zero).matrix
+        assert (A != A.T).nnz == 0
+
     # a block of 2 splits every length group into several kernel calls
     @pytest.mark.parametrize("block", [None, 2])
     def test_cell_major_kernel_on_mixed_lengths(self, monkeypatch, block):
@@ -407,6 +414,16 @@ class TestSolve:
         u = solve_dirichlet(system, affine)
         scaled = solve_dirichlet(system, lambda x, y: factor * affine(x, y))
         assert np.abs(scaled - factor * u).max() <= 1e-12 * np.abs(factor * u).max()
+
+    def test_exactly_singular_factor_raises_solver_error(self, monkeypatch):
+        def singular_splu(A, *args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(vem_poisson, "splu", singular_splu)
+        nodes, elems = structured_quad_mesh(4)
+        system = assemble(nodes, elems, build_topology(nodes, elems), one)
+        with pytest.raises(SolverError, match="^Factor is exactly singular$"):
+            solve_dirichlet(system, zero)
 
     def test_corrections_that_diverge_raise_solver_error(self, monkeypatch):
         # a factor of -A turns every correction around, so the residual never halves
