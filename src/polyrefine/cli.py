@@ -21,15 +21,14 @@ from .mesh_core import (
     _side_ratios,
     build_topology,
     check_conformity,
-    validate_mesh,
 )
 from .meshfile import (
     MeshParseError,
     MeshValidationError,
+    _read_and_validate,
     _read_lines,
     load_field,
     load_mesh,
-    read_mesh_file,
     save_field,
     save_mesh,
 )
@@ -104,8 +103,7 @@ def _cmd_adapt(args) -> int:
 
 
 def _cmd_quality(args) -> int:
-    nodes, elements = read_mesh_file(args.infile)
-    report = validate_mesh(nodes, elements)
+    nodes, elements, report = _read_and_validate(args.infile)
     print(report)
     if not report.ok:
         return 1

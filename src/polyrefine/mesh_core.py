@@ -187,11 +187,11 @@ class _CollectorPaused:
     512 x 512 took 0.33-0.47 s, 0.20-0.30 s of it collecting, on a 2-core Xeon.
     Lists of ints hold no reference cycles, so a pass during the build could free
     nothing.  It wraps every list-of-lists build: ``_cycle_lists`` (behind
-    ``structured_quad_mesh``, ``refine``, ``adaptive_loop`` and ``render_svg``) and
-    ``read_mesh_file``'s element rows.  The switch is process-wide: a caller that
-    turns the collector off in another thread meanwhile can have it turned back
-    on.  A class, not a generator: leaving it allocates no container, so no
-    put-off pass starts inside the block.
+    ``structured_quad_mesh``, ``refine``, ``adaptive_loop``, ``render_svg`` and
+    ``read_mesh_file``) and ``read_mesh_file``'s parse of the element rows.  The
+    switch is process-wide: a caller that turns the collector off in another
+    thread meanwhile can have it turned back on.  A class, not a generator:
+    leaving it allocates no container, so no put-off pass starts inside the block.
     """
 
     def __enter__(self):
@@ -446,21 +446,23 @@ def _star_flags(nodes, offsets, cycles, points, diam) -> np.ndarray:
 def _duplicate_node_pairs(nodes, radius):
     """Sorted index pairs ``(i, j)``, ``i < j``, of nodes closer than ``radius``.
 
-    Grid hashing on 4 shifted lattices: the nodes of one lattice cell form a
-    run of the sorted cell keys, and its pairs are the positions ``k = 1, 2,
-    ...`` apart with equal keys, up to the longest run.  Cells are counted
-    from the bounding box corner, so the keys of a mesh far from the origin
-    stay in int64 range.
+    Grid hashing on 4 shifted lattices: the nodes of one lattice cell share the
+    wrapping uint64 hash ``kx * 0x9E3779B97F4A7C15 + ky`` of its cell numbers, so
+    they form a run of the argsorted hashes.  The candidates are the positions
+    ``k = 1, 2, ...`` apart with equal hashes, up to the longest run; the distance
+    test drops those of cells whose hashes collide.  Cells are counted from the
+    bounding box corner, so their numbers are non-negative.
     """
     n = len(nodes)
     local = nodes - _bounding_box(nodes)[0]
     found = [np.zeros((2, 0), dtype=np.int64)]
     for shift in ((0.0, 0.0), (0.0, radius), (radius, 0.0), (radius, radius)):
-        kx, ky = np.floor((local + shift) / (2.0 * radius)).astype(np.int64).T
-        order = np.lexsort((ky, kx))
-        kx, ky = kx[order], ky[order]
+        kx, ky = np.floor((local + shift) / (2.0 * radius)).astype(np.uint64).T
+        h = kx * np.uint64(0x9E3779B97F4A7C15) + ky
+        order = np.argsort(h)
+        h = h[order]
         for k in range(1, n):
-            p = np.flatnonzero((kx[k:] == kx[:-k]) & (ky[k:] == ky[:-k]))
+            p = np.flatnonzero(h[k:] == h[:-k])
             if p.size == 0:
                 break
             i, j = order[p], order[p + k]
@@ -476,30 +478,36 @@ def validate_mesh(nodes, elements) -> ValidationReport:
     means the mesh is refinable: every element is simple, counterclockwise
     and star-shaped about its centroid (``_star_flags``).
     """
-    out = []
     try:
         nodes = _as_nodes(nodes)
     except ValueError as exc:
         return ValidationReport([Violation("node-table", None, str(exc))])
+    return _nonfinite_report(nodes) or _validated(nodes, *_cycle_arrays(elements, len(nodes)))
 
-    finite = np.isfinite(nodes).all(axis=1)
-    for i in np.flatnonzero(~finite):
-        out.append(Violation("nonfinite-node", int(i), "coordinate is nan or inf"))
-    if not finite.all():
-        return ValidationReport(out)
 
+def _nonfinite_report(nodes):
+    """``validate_mesh``'s report on an ``(N, 2)`` float node table with a nan or inf
+    coordinate (no element is read then), else None."""
+    bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+    if bad.size:
+        return ValidationReport([Violation("nonfinite-node", int(i), "coordinate is nan or inf") for i in bad])
+
+
+def _validated(nodes, offsets, conc) -> ValidationReport:
+    """``validate_mesh`` of finite ``(N, 2)`` float nodes and the flat cycle arrays of
+    their element table (``_cycle_arrays``: -1 marks an invalid entry)."""
+    out = []
     if len(nodes) >= 2:
         lo, hi, _ = _bounding_box(nodes)
         bbox_diag = float(np.hypot(*(hi - lo)))
         tol = 1e-12 * bbox_diag if bbox_diag > 0 else 1e-300
         for i, j in _duplicate_node_pairs(nodes, tol):
             out.append(Violation("duplicate-nodes", (i, j), "nodes coincide"))
-    if len(elements) == 0:
+    N, NT = len(nodes), len(offsets) - 1
+    if NT == 0:
         out.append(Violation("element-table", None, "element table is empty"))
 
-    # structural checks on the flat cycle arrays (-1 marks an invalid entry)
-    N, NT = len(nodes), len(elements)
-    offsets, conc = _cycle_arrays(elements, N)
+    # structural checks on the flat cycle arrays
     lengths = np.diff(offsets)
     owner = _cycle_owners(offsets)
     few = lengths < 3

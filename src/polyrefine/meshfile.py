@@ -20,7 +20,12 @@ per cycle length, joined in element order, over the concatenated cycles.
 ``read_mesh_file`` parses the node block as one token stream read by
 ``float``, and each element row with Python's own ``int``, so an index beyond
 int64 stays a Python int for validation to report; it builds those lists with
-the cyclic garbage collector paused (``mesh_core._CollectorPaused``).
+the cyclic garbage collector paused (``mesh_core._CollectorPaused``).  It reads
+them once with ``_cycle_arrays``; when every entry is a vertex index it lists
+the cells again through ``_cycle_lists``, one ``int`` object per vertex, as
+every other table builder does, and ``load_mesh`` and the CLI's ``quality``
+validate those same flat arrays.  ``_read_lines`` numbers the lines with a
+``range`` when none is blank.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ import math
 
 import numpy as np
 
-from .mesh_core import MeshError, ValidationReport, _as_nodes, _checked_tables, _CollectorPaused, validate_mesh
+from .mesh_core import (MeshError, ValidationReport, _as_nodes, _checked_tables, _CollectorPaused, _cycle_arrays,
+                        _cycle_lists, _nonfinite_report, _validated)
 
 FORMAT_NAME = "polymesh"
 FORMAT_VERSION = 1
@@ -48,18 +54,28 @@ class MeshValidationError(MeshError):
 
 
 def _read_lines(path):
-    """The stripped non-blank lines of a UTF-8 text file, and the file's own 1-based number of each."""
+    """The stripped non-blank lines of a UTF-8 text file, and the file's own 1-based number
+    of each: a ``range`` when no line is blank, as in every file ``save_mesh`` writes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh]
     except UnicodeDecodeError as exc:
         raise MeshParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    if all(lines):
+        return lines, range(1, len(lines) + 1)
     numbers = [k for k, ln in enumerate(lines, 1) if ln]
     return [ln for ln in lines if ln], numbers
 
 
 def read_mesh_file(path):
     """Parse a mesh file without validating the mesh it describes."""
+    return _read_mesh(path)[:2]
+
+
+def _read_mesh(path):
+    """``read_mesh_file``'s nodes and elements, and the elements' ``_cycle_arrays``, from
+    which they are listed again, one ``int`` per vertex, when every entry is a vertex
+    index; otherwise they are the parsed rows, so each bad entry keeps its value."""
     lines, numbers = _read_lines(path)
     pos = 0
 
@@ -105,13 +121,23 @@ def read_mesh_file(path):
         raise MeshParseError(f"element block below line {numbers[at - 1]}: {exc}") from exc
     if pos != len(lines):
         raise MeshParseError(f"trailing content at line {numbers[pos]}")
-    return nodes, elements
+    del lines, numbers, rows  # the text, freed before the table is listed again
+    offsets, cycles = _cycle_arrays(elements, len(nodes))
+    if cycles.min(initial=0) >= 0:
+        del elements
+        elements = _cycle_lists(offsets, cycles)
+    return nodes, elements, offsets, cycles
+
+
+def _read_and_validate(path):
+    """A mesh file's nodes, elements and ``validate_mesh`` report, its table read once."""
+    nodes, elements, offsets, cycles = _read_mesh(path)
+    return nodes, elements, _nonfinite_report(nodes) or _validated(nodes, offsets, cycles)
 
 
 def load_mesh(path):
     """Load and validate a mesh; raises ``MeshValidationError`` on violations."""
-    nodes, elements = read_mesh_file(path)
-    report = validate_mesh(nodes, elements)
+    nodes, elements, report = _read_and_validate(path)
     if not report.ok:
         raise MeshValidationError(report)
     return nodes, elements

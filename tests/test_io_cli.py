@@ -80,6 +80,15 @@ ELEMENT_TOKENS = [
 ]
 
 
+def three_pass_mesh():
+    """An 8 x 8 grid after three passes, each marking a seventh of the cells at random."""
+    rng = np.random.default_rng(7)
+    nodes, elems = structured_quad_mesh(8)
+    for _ in range(3):
+        nodes, elems = refine(nodes, elems, np.sort(rng.choice(len(elems), size=len(elems) // 7, replace=False)))
+    return nodes, elems
+
+
 def write_square(path):
     save_mesh(SQUARE_NODES, SQUARE_ELEMS, path)
     return str(path)
@@ -220,6 +229,44 @@ class TestMeshFile:
         with pytest.raises(MeshValidationError) as err:
             load_mesh(p)
         assert str(err.value) == "\n".join([f"{len(report)} violations", *report])
+
+    @pytest.mark.parametrize("mesh", [pytest.param(lambda: structured_quad_mesh(128), id="grid128"),
+                                      pytest.param(lambda: centroidal_voronoi_mesh(0), id="voronoi0"),
+                                      pytest.param(three_pass_mesh, id="three-passes")])
+    def test_read_table_holds_one_int_per_node(self, tmp_path, mesh):
+        nodes, elems = mesh()
+        p = tmp_path / "saved.mesh"
+        save_mesh(nodes, elems, p)
+        saved = [list(map(int, c)) for c in elems]
+        for reader in (read_mesh_file, load_mesh):
+            back_nodes, back = reader(p)
+            assert np.array_equal(back_nodes, nodes) and back == saved
+            assert len({id(v) for c in back for v in c}) == len(nodes)
+
+    def test_memory_of_a_loaded_grid(self, tmp_path):
+        # one int object per vertex, where one per entry held 3.99 MiB
+        import tracemalloc
+
+        p = tmp_path / "grid.mesh"
+        save_mesh(*structured_quad_mesh(128), p)
+        tracemalloc.start()
+        try:
+            mesh = load_mesh(p)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(mesh[1]) == 128 * 128
+        assert kept < 2.5 * 2**20, kept
+
+    def test_entries_that_are_not_vertices_keep_their_values(self, tmp_path):
+        p = tmp_path / "bad.mesh"
+        p.write_text("polymesh 1\nnodes 4\n0 0\n1 0\n1 1\n0 1\nelements 3\n0 1 2 3\n0 1 2 7\n-1 1 2 3\n")
+        nodes, elems = read_mesh_file(p)
+        assert elems == [[0, 1, 2, 3], [0, 1, 2, 7], [-1, 1, 2, 3]]
+        with pytest.raises(MeshValidationError) as err:
+            load_mesh(p)
+        assert str(err.value) == "2 violations\ninvalid-index at 1: vertex index out of range\n" \
+                                 "invalid-index at 2: vertex index out of range"
 
     def test_field_roundtrip(self, tmp_path):
         p = tmp_path / "f.txt"
