@@ -482,20 +482,15 @@ def validate_mesh(nodes, elements) -> ValidationReport:
         nodes = _as_nodes(nodes)
     except ValueError as exc:
         return ValidationReport([Violation("node-table", None, str(exc))])
-    return _nonfinite_report(nodes) or _validated(nodes, *_cycle_arrays(elements, len(nodes)))
-
-
-def _nonfinite_report(nodes):
-    """``validate_mesh``'s report on an ``(N, 2)`` float node table with a nan or inf
-    coordinate (no element is read then), else None."""
-    bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
-    if bad.size:
-        return ValidationReport([Violation("nonfinite-node", int(i), "coordinate is nan or inf") for i in bad])
+    return _validated(nodes, *_cycle_arrays(elements, len(nodes)))
 
 
 def _validated(nodes, offsets, conc) -> ValidationReport:
-    """``validate_mesh`` of finite ``(N, 2)`` float nodes and the flat cycle arrays of
-    their element table (``_cycle_arrays``: -1 marks an invalid entry)."""
+    """``validate_mesh`` of ``(N, 2)`` float nodes and the flat cycle arrays of their element table
+    (``_cycle_arrays``: -1 marks an invalid entry); nan or inf nodes are reported alone, cycles unread."""
+    bad = np.flatnonzero(~np.isfinite(nodes).all(axis=1))
+    if bad.size:
+        return ValidationReport([Violation("nonfinite-node", int(i), "coordinate is nan or inf") for i in bad])
     out = []
     if len(nodes) >= 2:
         lo, hi, _ = _bounding_box(nodes)

@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .mesh_core import (MeshError, ValidationReport, _as_nodes, _checked_tables, _CollectorPaused, _cycle_arrays,
-                        _cycle_lists, _nonfinite_report, _validated)
+                        _cycle_lists, _validated)
 
 FORMAT_NAME = "polymesh"
 FORMAT_VERSION = 1
@@ -132,7 +132,7 @@ def _read_mesh(path):
 def _read_and_validate(path):
     """A mesh file's nodes, elements and ``validate_mesh`` report, its table read once."""
     nodes, elements, offsets, cycles = _read_mesh(path)
-    return nodes, elements, _nonfinite_report(nodes) or _validated(nodes, offsets, cycles)
+    return nodes, elements, _validated(nodes, offsets, cycles)
 
 
 def load_mesh(path):

@@ -46,7 +46,7 @@ def render_svg(nodes, elements, path, values=None) -> None:
         per_elem = np.empty(len(fills))  # row means sum in the order a per-cycle mean does
         for idx, cyc in _length_groups(offsets, cycles):
             per_elem[idx] = values[cyc].mean(axis=1)
-        vmin, vmax = float(per_elem.min()), float(per_elem.max())
+        vmin, vmax = float(per_elem.min(initial=np.inf)), float(per_elem.max(initial=-np.inf))  # no cell: no fill
         den = vmax - vmin if vmax > vmin else 1.0
         red = np.rint(255 * ((per_elem - vmin) / den)).astype(np.int64)  # half to even, as round does
         fills = [_RAMP[r] for r in red.tolist()]

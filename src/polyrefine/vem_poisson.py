@@ -64,7 +64,7 @@ RESIDUAL_RTOL = 1e-10
 
 
 class SingularProjectionError(MeshError):
-    """Element geometry too degenerate to build the local projection."""
+    """An element whose signed area is below ``1e-7 h^2``: too thin, or clockwise."""
 
 
 class SolverError(MeshError):
@@ -141,11 +141,13 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
 
     ``f`` is called with coordinate arrays ``f(x, y)``.  Boundary vertices
     are the endpoints of edges incident to a single element.  Areas,
-    centroids and diameters are read from ``topology``.  The matrix's ``data``
-    and ``indices`` are copied down to ``nnz`` entries: ``tocsr`` sums duplicate
-    triplets in place, and scipy's ``prune`` keeps a view of the triplet-length
-    buffers when more than half survive (4,194,304 entries for 2,362,369
-    nonzeros on 512 x 512, about 21 MB held as long as the system).
+    centroids and diameters are read from ``topology``; the first cell of
+    signed area below ``1e-7 h^2`` raises ``SingularProjectionError``.  The
+    matrix's ``data`` and ``indices`` are copied down to ``nnz`` entries:
+    ``tocsr`` sums duplicate triplets in place, and scipy's ``prune`` keeps a
+    view of the triplet-length buffers when more than half survive (4,194,304
+    entries for 2,362,369 nonzeros on 512 x 512, about 21 MB held as long as
+    the system).
     """
     nodes = _as_nodes(nodes)
     N = len(nodes)
@@ -153,9 +155,11 @@ def assemble(nodes, elements, topology: MeshTopology, f) -> LinearSystem:
     offsets, cycles = topology.offsets, topology.cycles
     lengths = np.diff(offsets)
     area, h = topology.area, topology.diameter
-    # the scaled-monomial projection matrix G has det G = (|K| / h^2)^2; require det G >= 1e-14
-    if not (np.abs(area) >= 1e-7 * h * h).all():
-        raise SingularProjectionError("projection matrix is singular")
+    # the scaled-monomial projection matrix G has det G = (K / h^2)^2; K >= 1e-7 h^2 of the signed
+    # area K gives det G >= 1e-14 and the counterclockwise cycle that the formulas below are written for
+    low = np.flatnonzero(~(area >= 1e-7 * h * h))
+    if low.size:
+        raise SingularProjectionError(f"element {low[0]} has signed area {area[low[0]] / h[low[0]] ** 2:.3g} h^2")
     size = int(np.sum(lengths * lengths))
     rows = np.empty(size, dtype=np.int32)
     cols = np.empty(size, dtype=np.int32)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from polyrefine import (
     MeshError,
+    SingularProjectionError,
     StepRecord,
     adaptive_loop,
     assemble,
@@ -293,6 +294,19 @@ class TestAdaptiveLoop:
             adaptive_loop(nodes, elems, f, uex, max_steps=0)
         assert (raised.type, str(raised.value)) == (expected.type, str(expected.value))
         assert built == []
+
+    def test_a_clockwise_cell_stops_the_loop_before_its_first_solve(self, monkeypatch):
+        """A reversed cell is rejected by ``assemble`` on the start mesh; admitted by its
+        unsigned area, the loop ran 7 meshes and returned one ``validate_mesh`` rejects."""
+        nodes, elems = structured_quad_mesh(8)
+        elems[27] = elems[27][::-1]
+        assert [(v.kind, v.where) for v in validate_mesh(nodes, elems).violations] == [("orientation", 27)]
+        solves = []
+        monkeypatch.setattr(adaptivity, "solve_dirichlet", lambda *args: solves.append(args))
+        uex, f = gaussian_peak_problem()
+        with pytest.raises(SingularProjectionError, match="^element 27 has signed area -0.5 h\\^2$"):
+            adaptive_loop(nodes, elems, f, uex, theta=0.4, max_steps=6)
+        assert solves == []
 
     def test_dof_cap_stops_early(self):
         nodes, elems = structured_quad_mesh(8)

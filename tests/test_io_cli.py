@@ -1,8 +1,12 @@
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import polyrefine
 from polyrefine import (
     MeshParseError,
     MeshValidationError,
@@ -359,8 +363,31 @@ class TestRenderSvg:
         assert (tmp_path / "b.svg").read_bytes() == (tmp_path / "a.svg").read_bytes()
         assert (tmp_path / "b_field.svg").read_bytes() == (tmp_path / "a_field.svg").read_bytes()
 
+    def test_field_on_an_empty_element_table_writes_the_plain_picture(self, tmp_path):
+        nodes = structured_quad_mesh(2)[0]
+        render_svg(nodes, [], tmp_path / "plain.svg")
+        render_svg(nodes, [], tmp_path / "field.svg", values=nodes[:, 0])
+        assert (tmp_path / "field.svg").read_bytes() == (tmp_path / "plain.svg").read_bytes()
+        with pytest.raises(ValueError, match="need one finite value per vertex"):
+            render_svg(nodes, [], tmp_path / "short.svg", values=nodes[1:, 0])
+        with pytest.raises(ValueError, match="need one finite value per vertex"):
+            render_svg(nodes, [], tmp_path / "nan.svg", values=np.r_[np.nan, nodes[1:, 0]])
+        assert not (tmp_path / "short.svg").exists() and not (tmp_path / "nan.svg").exists()
+
 
 class TestCli:
+    def test_python_dash_m_runs_the_command_line(self, tmp_path):
+        """``python -m polyrefine`` reaches ``cli_main`` through ``__main__`` and ``main``."""
+        src = tmp_path / "grid.mesh"
+        save_mesh(*structured_quad_mesh(4), src)
+        env = dict(os.environ)
+        path = os.path.dirname(os.path.dirname(polyrefine.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [path, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-m", "polyrefine", "quality", "--in", str(src)],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.startswith("0 violations\n")
+
     def test_refine_single_square(self, tmp_path, capsys):
         src = write_square(tmp_path / "in.mesh")
         out = str(tmp_path / "out.mesh")

@@ -203,6 +203,21 @@ class TestLocalMatrices:
         K = cell_stiffness(rectangle(2e-7))
         assert np.abs(K - oracle_stiffness(rectangle(2e-7))).max() <= 1e-13 * np.abs(K).max()
 
+    @pytest.mark.parametrize("vertices, ratio", [
+        (SQUARE_NODES[::-1], "-0.5"),  # clockwise: admitted by |K|, it had eigenvalues (-1, -1, 0, 1)
+        (rectangle(5e-8), "5e-08"),
+    ], ids=["clockwise", "thin"])
+    def test_a_cell_below_the_signed_bound_is_named(self, vertices, ratio):
+        with pytest.raises(SingularProjectionError, match=f"^element 0 has signed area {ratio} h\\^2$"):
+            cell_stiffness(vertices)
+
+    def test_the_first_clockwise_cell_is_named(self):
+        nodes, elems = structured_quad_mesh(3)
+        for i in (5, 2, 7):
+            elems[i] = elems[i][::-1]
+        with pytest.raises(SingularProjectionError, match="^element 2 has signed area -0.5 h\\^2$"):
+            assemble(nodes, elems, build_topology(nodes, elems), zero)
+
     def test_local_load(self):
         topo = build_topology(SQUARE_NODES, SQUARE_ELEMS)
         for f, value in [(zero, 0.0), (one, 0.25), (lambda x, y: x, 0.125)]:
