@@ -137,10 +137,14 @@ def _cycle_arrays(elements, n):
     np.bool_)) and 0 <= v < n``, where a 0-d array ``v`` is read as its scalar
     ``v[()]`` (so ``np.array(4)`` is vertex 4, ``np.array(4.0)`` is not).  The
     one reader of element tables and marked lists; a table that numpy reads as
-    1-D integers is ranged in one mask.
+    1-D integers is ranged in one mask.  Raises ``InvalidIndexError`` naming the
+    first row without a length or items, or else the table (``_unreadable``).
     """
-    lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
-    flat = list(chain.from_iterable(elements))
+    try:
+        lengths = np.fromiter(map(len, elements), dtype=np.int64, count=len(elements))
+        flat = list(chain.from_iterable(elements))
+    except TypeError:  # the table, or a row of it, has no length or no items
+        raise InvalidIndexError(_unreadable(elements)) from None
     try:
         arr = np.array(flat)
     except ValueError:  # nested sequences of unequal lengths
@@ -153,6 +157,20 @@ def _cycle_arrays(elements, n):
         cycles = np.array([int(v) if isinstance(v, (int, np.integer, np.bool_)) and 0 <= v < n else -1
                            for v in scalars], dtype=np.int64)
     return np.r_[0, np.cumsum(lengths)], cycles
+
+
+def _unreadable(elements) -> str:
+    """Why ``_cycle_arrays`` could not read ``elements``: its first row without a length
+    or items, else the table itself.  Walked only after a failed read."""
+    try:
+        for i, row in enumerate(elements):
+            try:
+                len(row), iter(row)
+            except TypeError:
+                return f"element {i} is not a sequence of vertex indices"
+    except TypeError:  # the table has no items
+        pass
+    return "element table is not a sequence of cycles"
 
 
 def _cycle_shifts(offsets):
@@ -300,8 +318,9 @@ def _bounding_box(points):
 def _checked_tables(nodes, elements):
     """Flat cycle arrays and ``_polygon_tables`` of an element table that must be
     valid: the one checked reader of element tables.  Raises on the first bad element
-    of the first of these checks: ``DegeneratePolygonError`` for a cycle of fewer than
-    3 vertices, ``InvalidIndexError`` for an entry that is not a vertex index (see
+    of the first of these checks: ``InvalidIndexError`` for a row that is not a
+    sequence, ``DegeneratePolygonError`` for a cycle of fewer than 3 vertices,
+    ``InvalidIndexError`` for an entry that is not a vertex index (both read by
     ``_cycle_arrays``), ``DegeneratePolygonError`` for a cell that uses a non-finite
     node and for a cell of vanishing area."""
     offsets, cycles = _cycle_arrays(elements, len(nodes))
@@ -335,7 +354,8 @@ def build_topology(nodes, elements) -> MeshTopology:
     Raises
     ------
     InvalidIndexError
-        If an element entry is not a vertex index (see ``_cycle_arrays``).
+        If an element is not a sequence or an entry is not a vertex index
+        (see ``_cycle_arrays``).
     NonManifoldEdgeError
         If an edge is shared by more than two elements.
     DegeneratePolygonError
@@ -482,7 +502,11 @@ def validate_mesh(nodes, elements) -> ValidationReport:
         nodes = _as_nodes(nodes)
     except ValueError as exc:
         return ValidationReport([Violation("node-table", None, str(exc))])
-    return _validated(nodes, *_cycle_arrays(elements, len(nodes)))
+    try:
+        tables = _cycle_arrays(elements, len(nodes))
+    except InvalidIndexError as exc:  # the table, or a row of it, is not a sequence
+        return ValidationReport([Violation("element-table", None, str(exc))])
+    return _validated(nodes, *tables)
 
 
 def _validated(nodes, offsets, conc) -> ValidationReport:

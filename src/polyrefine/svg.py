@@ -23,11 +23,15 @@ def render_svg(nodes, elements, path, values=None) -> None:
     the bounding box of the finite nodes with a 2% margin; strokes are 0.2% of
     the box diagonal.  Output bytes depend only on the inputs.  Raises what
     ``build_topology`` raises for a bad cell (see ``_checked_tables``), writing
-    nothing, and ``ValueError`` unless ``values`` holds one finite number per vertex.
+    nothing, and ``ValueError`` when no node is finite or unless ``values`` holds one
+    finite number per vertex.
     """
     nodes = _as_nodes(nodes)
     offsets, cycles = _checked_tables(nodes, elements)[:2]
-    lo, hi, _ = _bounding_box(nodes[np.isfinite(nodes).all(axis=1)])
+    finite = nodes[np.isfinite(nodes).all(axis=1)]
+    if not len(finite):
+        raise ValueError("no finite node frames the picture")
+    lo, hi, _ = _bounding_box(finite)
     span = np.maximum(hi - lo, 1e-12)
     margin = 0.02 * span
     x0, y0 = lo - margin

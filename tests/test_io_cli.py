@@ -19,7 +19,8 @@ from polyrefine import (
 from polyrefine.cli import cli_main
 from polyrefine.meshfile import load_field, read_mesh_file, save_field
 
-from sample_meshes import SQUARE_ELEMS, SQUARE_NODES, cascade_mesh, centroidal_voronoi_mesh, prismatic_pentagon_patch
+from sample_meshes import (SQUARE_ELEMS, SQUARE_NODES, cascade_mesh, centroidal_voronoi_mesh, prismatic_pentagon_patch,
+                           thick_u_mesh)
 
 
 # two squares that share no node
@@ -91,6 +92,48 @@ def three_pass_mesh():
     for _ in range(3):
         nodes, elems = refine(nodes, elems, np.sort(rng.choice(len(elems), size=len(elems) // 7, replace=False)))
     return nodes, elems
+
+
+def grid_with_unused_node(x, y):
+    """The 4 x 4 grid plus node 25 at ``(x, y)``, which no cell uses."""
+    nodes, elems = structured_quad_mesh(4)
+    return np.vstack([nodes, [[x, y]]]), elems
+
+
+def saved_grid(tmp_path):
+    src = tmp_path / "grid.mesh"
+    save_mesh(*structured_quad_mesh(4), src)
+    return str(src)
+
+
+def voronoi_file(tmp_path):
+    # its cells have 4 to 7 vertices
+    save_mesh(*centroidal_voronoi_mesh(0), tmp_path / "voronoi.mesh")
+    return tmp_path / "voronoi.mesh"
+
+
+def adapt_step_file(tmp_path):
+    assert cli_main(["adapt", "--in", saved_grid(tmp_path), "--steps", "3", "--out-prefix", str(tmp_path / "run")]) == 0
+    return tmp_path / "run_step003.mesh"
+
+
+def marked_file(tmp_path):
+    out = tmp_path / "refined.mesh"
+    assert cli_main(["refine", "--in", saved_grid(tmp_path), "--marked", "0,5", "--out", str(out)]) == 0
+    return out
+
+
+def marks_file_passes(tmp_path):
+    # one pass per line of the marks file
+    (tmp_path / "marks.txt").write_text("0,5\n1,2\n")
+    out = tmp_path / "passes.mesh"
+    assert cli_main(["refine", "--in", saved_grid(tmp_path), "--marks-file", str(tmp_path / "marks.txt"),
+                     "--out", str(out)]) == 0
+    return out
+
+
+WRITTEN_MESHES = {"voronoi0": voronoi_file, "adapt-step3": adapt_step_file, "marked-0-5": marked_file,
+                  "marks-file-passes": marks_file_passes}
 
 
 def write_square(path):
@@ -181,7 +224,8 @@ class TestMeshFile:
         with pytest.raises(MeshParseError, match=where):
             load_mesh(p)
         assert cli_main(["quality", "--in", str(p)]) == 1
-        assert "parse error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "parse error:" in err and where in err
 
     def test_blank_and_padded_lines_are_skipped(self, tmp_path):
         p = tmp_path / "blank.mesh"
@@ -271,6 +315,17 @@ class TestMeshFile:
             load_mesh(p)
         assert str(err.value) == "2 violations\ninvalid-index at 1: vertex index out of range\n" \
                                  "invalid-index at 2: vertex index out of range"
+
+    @pytest.mark.parametrize("name", list(WRITTEN_MESHES))
+    def test_a_loaded_mesh_saves_to_the_same_bytes(self, tmp_path, capsys, name):
+        path = WRITTEN_MESHES[name](tmp_path)
+        capsys.readouterr()  # what the command that wrote it printed
+        nodes, elems = load_mesh(path)
+        assert len({id(v) for c in elems for v in c}) == len(nodes)  # one int object per node
+        save_mesh(nodes, elems, tmp_path / "again.mesh")
+        assert (tmp_path / "again.mesh").read_bytes() == path.read_bytes()
+        assert cli_main(["quality", "--in", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("0 violations\n")
 
     def test_field_roundtrip(self, tmp_path):
         p = tmp_path / "f.txt"
@@ -374,19 +429,37 @@ class TestRenderSvg:
             render_svg(nodes, [], tmp_path / "nan.svg", values=np.r_[np.nan, nodes[1:, 0]])
         assert not (tmp_path / "short.svg").exists() and not (tmp_path / "nan.svg").exists()
 
+    @pytest.mark.parametrize("with_values", [False, True], ids=["plain", "field"])
+    @pytest.mark.parametrize("nodes", [np.zeros((0, 2)), np.array([[np.nan, 0.0]])], ids=["no-node", "nan-node"])
+    def test_no_finite_node_frames_no_picture(self, tmp_path, nodes, with_values):
+        out = tmp_path / "x.svg"
+        with pytest.raises(ValueError, match="^no finite node frames the picture$"):
+            render_svg(nodes, [], out, values=np.zeros(len(nodes)) if with_values else None)
+        assert not out.exists()
+
 
 class TestCli:
-    def test_python_dash_m_runs_the_command_line(self, tmp_path):
-        """``python -m polyrefine`` reaches ``cli_main`` through ``__main__`` and ``main``."""
-        src = tmp_path / "grid.mesh"
-        save_mesh(*structured_quad_mesh(4), src)
+    @pytest.mark.parametrize("mesh, options, code, head", [
+        pytest.param(structured_quad_mesh(4), ["quality"], 0, "0 violations\n", id="quality"),
+        pytest.param((structured_quad_mesh(2)[0], [[0, 1, 4, 3], [0, 1, 4, 3]]), ["quality"], 1,
+                     "4 violations\noverlap at (0, 1)", id="quality-twin"),
+        pytest.param(structured_quad_mesh(4), ["adapt", "--theta", "1.5", "--out-prefix", "run"], 2,
+                     "usage: polyrefine adapt", id="adapt-theta-1.5"),
+    ])
+    def test_python_dash_m_runs_the_command_line(self, tmp_path, mesh, options, code, head):
+        """``python -m polyrefine`` reaches ``cli_main`` through ``__main__`` and ``main``,
+        whose exit code is the process's."""
+        src = tmp_path / "in.mesh"
+        save_mesh(*mesh, src)
         env = dict(os.environ)
         path = os.path.dirname(os.path.dirname(polyrefine.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [path, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-m", "polyrefine", "quality", "--in", str(src)],
+        options = [str(tmp_path / a) if a == "run" else a for a in options]
+        out = subprocess.run([sys.executable, "-m", "polyrefine", options[0], "--in", str(src), *options[1:]],
                              env=env, capture_output=True, text=True)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.startswith("0 violations\n")
+        assert out.returncode == code, out.stderr
+        assert (out.stderr if code == 2 else out.stdout).startswith(head)
+        assert list(tmp_path.iterdir()) == [src]
 
     def test_refine_single_square(self, tmp_path, capsys):
         src = write_square(tmp_path / "in.mesh")
@@ -414,11 +487,19 @@ class TestCli:
         assert "0 violations" in out
         assert "hanging nodes: 0" in out
 
-    def test_quality_invalid_mesh(self, tmp_path, capsys):
-        p = tmp_path / "cw.mesh"
-        save_mesh(SQUARE_NODES, [[0, 3, 2, 1]], p)
+    @pytest.mark.parametrize("mesh, found", [
+        pytest.param((SQUARE_NODES, [[0, 3, 2, 1]]), "orientation", id="clockwise"),
+        # its centroid is inside it but does not see the top of either arm
+        pytest.param(thick_u_mesh(), "centroid-not-interior at 0", id="thick-u"),
+        # sides (1, 2) and (3, 0) cross
+        pytest.param(([[0, 0], [3, 0], [0, 2], [2, 2]], [[0, 1, 2, 3]]), "self-intersection at 0", id="bow-tie"),
+        pytest.param(grid_with_unused_node(np.nan, 0.0), "nonfinite-node at 25", id="nan-node"),
+    ])
+    def test_quality_invalid_mesh(self, tmp_path, capsys, mesh, found):
+        p = tmp_path / "bad.mesh"
+        save_mesh(*mesh, p)
         assert cli_main(["quality", "--in", str(p)]) == 1
-        assert "orientation" in capsys.readouterr().out
+        assert found in capsys.readouterr().out
 
     def test_quality_rejects_twin_element(self, tmp_path, capsys):
         p = tmp_path / "twin.mesh"
@@ -442,6 +523,24 @@ class TestCli:
         assert cli_main(["refine", "--in", str(p), "--marked", "0", "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("invalid mesh: overlap at (0, 1)")
         assert not out.exists()
+
+    @pytest.mark.parametrize("mesh, options, err", [
+        # the file loads, and the solve names the node
+        pytest.param(grid_with_unused_node(2.0, 2.0), ["adapt", "--out-prefix", "run"],
+                     "error: node 25 belongs to no element\n", id="adapt-lonely-node"),
+        pytest.param(grid_with_unused_node(np.nan, 0.0), ["adapt", "--out-prefix", "run"],
+                     "invalid mesh: nonfinite-node at 25: coordinate is nan or inf\n", id="adapt-nan-node"),
+        pytest.param(thick_u_mesh(), ["refine", "--marked", "0", "--out", "run"],
+                     "invalid mesh: centroid-not-interior at 0: polygon is not star-shaped about its centroid\n",
+                     id="refine-thick-u"),
+    ])
+    def test_a_mesh_the_command_cannot_take_writes_nothing(self, tmp_path, capsys, mesh, options, err):
+        src = tmp_path / "in.mesh"
+        save_mesh(*mesh, src)
+        options = [str(tmp_path / a) if a == "run" else a for a in options]
+        assert cli_main([options[0], "--in", str(src), *options[1:]]) == 1
+        assert capsys.readouterr().err == err
+        assert list(tmp_path.iterdir()) == [src]
 
     def test_refine_rejects_a_marked_entry_out_of_range(self, tmp_path, capsys):
         src = tmp_path / "grid.mesh"
@@ -589,6 +688,14 @@ class TestCli:
         for k in range(4):
             assert (tmp_path / f"run_step{k:03d}.mesh").exists()
             assert (tmp_path / f"run_step{k:03d}.svg").exists()
+
+    def test_adapt_solution_renders_on_its_last_mesh(self, tmp_path):
+        adapt_step_file(tmp_path)
+        out = tmp_path / "final.svg"
+        assert cli_main(["render", "--in", str(tmp_path / "run_step003.mesh"), "--field",
+                         str(tmp_path / "run_solution.txt"), "--out", str(out)]) == 0
+        fills = re.findall(r'fill="(#[0-9a-f]{6})"', out.read_text())
+        assert len(fills) == len(load_mesh(tmp_path / "run_step003.mesh")[1]) and len(set(fills)) > 1
 
     def test_adapt_deterministic_bytes(self, tmp_path):
         nodes, elems = structured_quad_mesh(4)

@@ -1247,6 +1247,27 @@ class TestVertexIndexRule:
             report = validate_mesh(nodes, elems)
             assert [(v.kind, v.where) for v in report.violations] == [("invalid-index", 0)]
 
+    @pytest.mark.parametrize("row", [7, np.array(7), None, iter([1, 2, 5, 4])],
+                             ids=["int", "0-d-array", "None", "iterator"])
+    def test_a_row_that_is_not_a_sequence_is_named(self, row, tmp_path, monkeypatch):
+        nodes, elems = structured_quad_mesh(2)
+        elems[1] = row
+        assert str(validate_mesh(nodes, elems)) == \
+            "1 violations\nelement-table at None: element 1 is not a sequence of vertex indices"
+        monkeypatch.chdir(tmp_path)
+        for call in ENTRY_POINTS.values():
+            with pytest.raises(InvalidIndexError, match="^element 1 is not a sequence of vertex indices$"):
+                call(nodes, elems)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("table", [lambda: None, lambda: 7, lambda: iter([[0, 1, 4, 3]])],
+                             ids=["None", "int", "iterator"])
+    @pytest.mark.parametrize("extra", [[], [[np.nan, 0.0]]], ids=["finite", "nan-node"])
+    def test_a_table_that_is_not_a_sequence_is_reported(self, table, extra):
+        nodes = np.vstack([structured_quad_mesh(2)[0], *extra])
+        assert str(validate_mesh(nodes, table())) == \
+            "1 violations\nelement-table at None: element table is not a sequence of cycles"
+
 
 @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
 @pytest.mark.parametrize("cycle, message", [([1, 2], "element 1 has 2 vertices"),
